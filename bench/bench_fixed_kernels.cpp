@@ -1,11 +1,13 @@
 // Google-benchmark throughput benches for the fixed-point MAC kernels.
 //
-// Measures mac_row / mac_tile / quantize_block per dispatch tier (int128
-// reference, scalar64, AVX2/AVX-512 where the host has them) and per format
-// (Q8.8, Q16.16), in MACs/sec (row/tile) and samples/sec (quantize). Shapes match
-// the real datapath: 201-wide rows (FNN-B's first layer), 64-shot tiles,
-// 1000-sample traces. The reference rows quantify exactly what the int64
-// post-scaler buys over the int128 round-shift.
+// Measures mac_row / mac_tile / quantize_block / frontend_tile per dispatch
+// tier (int128 reference, scalar64, AVX2/AVX-512 where the host has them) and
+// per format (Q8.8, Q16.16), in MACs/sec (row/tile) and samples/sec
+// (quantize, front end). Shapes match the real datapath: 201-wide rows
+// (FNN-B's first layer), 64-shot tiles, 1000-sample traces, and front-end
+// tiles of 1, 8 and 64 shots with 15 (FNN-A) or 100 (FNN-B) AVG groups.
+// The reference rows quantify exactly what the int64 post-scaler buys over
+// the int128 round-shift.
 //
 // Machine-readable snapshot:
 //   bench_fixed_kernels --benchmark_out=BENCH_fixed.json
@@ -127,6 +129,64 @@ void BM_QuantizeBlockKernel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
+// --- frontend_tile: quantize → AVG ∥ MF → NORM over a shot tile ---------
+
+/// Front end over N = 500 complex samples with `groups` AVG groups per
+/// quadrature and an MF envelope; NORM exponents mix both shift signs, as
+/// fitted front ends do.
+template <class Fixed, auto FrontendTile>
+void BM_FrontendTileKernel(benchmark::State& state) {
+  constexpr std::size_t n = 500;
+  const auto groups = static_cast<std::size_t>(state.range(0));
+  const auto lanes = static_cast<std::size_t>(state.range(1));
+  const std::size_t width = 2 * groups + 1;
+  xoshiro256 rng(7);
+  std::vector<std::vector<float>> traces(lanes, std::vector<float>(2 * n));
+  std::vector<const float*> pointers;
+  for (auto& trace : traces) {
+    for (auto& v : trace) v = static_cast<float>(rng.uniform(-2.0, 2.0));
+    pointers.push_back(trace.data());
+  }
+  std::vector<std::size_t> group_end(groups);
+  std::vector<std::int32_t> reciprocal(groups);
+  for (std::size_t g = 0; g < groups; ++g) {
+    group_end[g] = (g + 1) * n / groups;
+    const std::size_t length = group_end[g] - g * n / groups;
+    reciprocal[g] = static_cast<std::int32_t>(
+        Fixed::from_double(1.0 / static_cast<double>(length)).raw());
+  }
+  const auto envelope = random_raws<Fixed>(2 * n, 8);
+  const auto x_min = random_raws<Fixed>(width, 9);
+  std::vector<int> shift(width);
+  for (std::size_t c = 0; c < width; ++c) {
+    shift[c] = static_cast<int>(c % 7) - 4;
+  }
+  const kernels::frontend_spec frontend{.samples = n,
+                                        .groups = groups,
+                                        .group_end = group_end.data(),
+                                        .reciprocal = reciprocal.data(),
+                                        .envelope = envelope.data(),
+                                        .x_min = x_min.data(),
+                                        .shift = shift.data()};
+  constexpr std::size_t stride = kernels::max_tile_lanes;
+  std::vector<std::int32_t> plane(width * stride);
+  const auto spec = kernels::spec_of<Fixed>();
+  for (auto _ : state) {
+    FrontendTile(pointers.data(), lanes, frontend, plane.data(), stride,
+                 spec);
+    benchmark::DoNotOptimize(plane.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(lanes * 2 * n));
+}
+
+#define KLINQ_FRONTEND_BENCHES(Fixed, tag, tier)                              \
+  BENCHMARK((BM_FrontendTileKernel<Fixed, kernels::tier::frontend_tile>))     \
+      ->Name("BM_FrontendTile_" #tier "_" tag)                                \
+      ->ArgNames({"groups", "lanes"})                                         \
+      ->ArgsProduct({{15, 100}, {1, 8, 64}})
+
 #define KLINQ_KERNEL_BENCHES(Fixed, tag)                                      \
   BENCHMARK(BM_MacRowReference<Fixed>)->Name("BM_MacRow_int128ref_" tag)      \
       ->Arg(201);                                                             \
@@ -149,7 +209,10 @@ void BM_QuantizeBlockKernel(benchmark::State& state) {
   BENCHMARK((BM_QuantizeBlockKernel<Fixed, kernels::avx2::quantize_block>))   \
       ->Name("BM_QuantizeBlock_avx2_" tag)->Arg(1000);                        \
   BENCHMARK((BM_QuantizeBlockKernel<Fixed, kernels::avx512::quantize_block>)) \
-      ->Name("BM_QuantizeBlock_avx512_" tag)->Arg(1000)
+      ->Name("BM_QuantizeBlock_avx512_" tag)->Arg(1000);                    \
+  KLINQ_FRONTEND_BENCHES(Fixed, tag, scalar64);                               \
+  KLINQ_FRONTEND_BENCHES(Fixed, tag, avx2);                                   \
+  KLINQ_FRONTEND_BENCHES(Fixed, tag, avx512)
 
 KLINQ_KERNEL_BENCHES(q16_16, "q16.16");
 KLINQ_KERNEL_BENCHES(q8_8, "q8.8");

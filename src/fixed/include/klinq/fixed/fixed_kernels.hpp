@@ -1,4 +1,5 @@
-// Vectorized fixed-point MAC kernels over raw register planes.
+// Vectorized fixed-point kernels over raw register planes: the network MACs
+// and the fused ADC front end.
 //
 // fixed::operator* models the FPGA's DSP post-scaler with a full-width
 // int128 product and a branchy round-to-nearest shift — bit-accurate, but
@@ -97,6 +98,88 @@ constexpr std::int64_t clamp_raw(std::int64_t value, std::int64_t raw_min,
   return low > raw_max ? raw_max : low;
 }
 
+/// One ADC sample through the input quantizer: bit-identical to
+/// Fixed::from_double (round to nearest, ties away from zero; rails
+/// saturate; NaN quantizes to 0). Branchless selects throughout: the rail
+/// comparisons and the round direction are data-dependent and
+/// unpredictable on real traces.
+constexpr std::int32_t quantize_raw(double value,
+                                    const mac_spec& spec) noexcept {
+  const double scaled =
+      value * static_cast<double>(std::int64_t{1} << spec.frac_bits);
+  const double rail_max = static_cast<double>(spec.raw_max);
+  const double rail_min = static_cast<double>(spec.raw_min);
+  // Clamp before the cast so huge/infinite/NaN inputs never reach the
+  // (otherwise UB) double->int64 conversion; the rail and NaN selects
+  // below overwrite the clamped result, so it never escapes.
+  double bounded = scaled < rail_max ? scaled : rail_max;
+  bounded = bounded > rail_min ? bounded : rail_min;
+  std::int64_t raw = round_half_away_from_zero(bounded);
+  raw = scaled >= rail_max ? spec.raw_max : raw;
+  raw = scaled <= rail_min ? spec.raw_min : raw;
+  raw = value != value ? 0 : raw;  // hardware has no NaN; define as 0
+  return static_cast<std::int32_t>(raw);
+}
+
+/// AVG output: the group's exact int64 sum saturated once at the adder-tree
+/// root, times the raw 1/length register through the post-scaler —
+/// fixed_accumulator::result() * reciprocal.
+constexpr std::int64_t average_raw(std::int64_t sum, std::int32_t reciprocal,
+                                   const mac_spec& spec) noexcept {
+  return round_shift_clamp(clamp_raw(sum, spec.raw_min, spec.raw_max) *
+                               reciprocal,
+                           spec.frac_bits, spec.raw_min, spec.raw_max);
+}
+
+/// Largest NORM right shift applied literally; any register shifted
+/// further rounds to 0 either way, and the bias 2^(k-1) stays in int64.
+inline constexpr int max_norm_right_shift = 62;
+/// Largest NORM left shift applied literally: every fast-path register
+/// (|raw| <= 2^31) shifted by 32 still fits int64, and any non-zero one
+/// already sits past the rails, so longer shifts saturate identically.
+inline constexpr int max_norm_left_shift = 32;
+
+/// NORM: (value − x_min) shifted by the σ exponent k, exactly
+/// (Fixed(value) − Fixed(x_min)).shifted_right(k): the difference saturates,
+/// k > 0 rounds to nearest on the magnitude (ties away from zero), k < 0 is
+/// the saturating left shift clamp(diff << min(−k, 32)). Branchless: a zero
+/// shift is the identity in either direction, so both shifts apply in turn.
+constexpr std::int64_t normalize_raw(std::int64_t value, std::int64_t x_min,
+                                     int shift,
+                                     const mac_spec& spec) noexcept {
+  const std::int64_t diff =
+      clamp_raw(value - x_min, spec.raw_min, spec.raw_max);
+  const int right = shift < 0 ? 0
+                    : shift < max_norm_right_shift ? shift
+                                                   : max_norm_right_shift;
+  const int left = shift > 0 ? 0
+                   : -shift < max_norm_left_shift ? -shift
+                                                  : max_norm_left_shift;
+  return clamp_raw(
+      round_shift_clamp(diff, right, spec.raw_min, spec.raw_max) *
+          (std::int64_t{1} << left),
+      spec.raw_min, spec.raw_max);
+}
+
+/// The front end's parameter BRAM as frontend_tile consumes it, for traces
+/// of `samples` complex samples ([I | Q], 2N floats) split into `groups` AVG
+/// groups per quadrature. The 2G (+1) features are AVG I (c < G), AVG Q
+/// (G <= c < 2G), then the MF output (c == 2G) when `envelope` is set.
+struct frontend_spec {
+  std::size_t samples = 0;
+  std::size_t groups = 0;
+  /// G ascending group ends within a quadrature: group g covers samples
+  /// [group_end[g - 1], group_end[g]) (from 0 for g = 0); group_end[G-1] = N.
+  const std::size_t* group_end = nullptr;
+  /// G raw 1/length registers, one per group.
+  const std::int32_t* reciprocal = nullptr;
+  /// 2N raw matched-filter taps; nullptr when the front end has no MF.
+  const std::int32_t* envelope = nullptr;
+  /// width() raw NORM offsets and σ exponents (k > 0 shifts right).
+  const std::int32_t* x_min = nullptr;
+  const int* shift = nullptr;
+};
+
 // ---------------------------------------------------------------------------
 // Kernel contract (identical across tiers):
 //
@@ -116,9 +199,19 @@ constexpr std::int64_t clamp_raw(std::int64_t value, std::int64_t raw_min,
 //                  Fixed::from_double per element (round to nearest, ties
 //                  away from zero; rails saturate; NaN quantizes to 0).
 //
-//   sum_row        exact int64 sum of a contiguous raw row (the AVG adder
-//                  tree before its reciprocal multiply); no saturation —
-//                  the caller clamps once, like fixed_accumulator::result.
+//   frontend_tile  the whole pre-processing front end (paper Fig. 3) over a
+//                  tile of shots in one pass: traces[s] points at shot s's
+//                  2N floats. Each sample is quantized (quantize_raw), added
+//                  to its group's int64 sum and, with an MF envelope,
+//                  multiplied through the post-scaler into the MF sum; each
+//                  group's sum becomes its feature through average_raw, and
+//                  every feature goes through normalize_raw. Feature c of
+//                  shot s lands at plane[c * stride + s]; lanes s in
+//                  [0, lanes) are written, nothing else. Requires
+//                  lanes <= stride. SIMD tiers hold one shot per int64 lane
+//                  and transpose the traces in registers; a SIMD block with
+//                  too few shots to fill it runs them one at a time, with
+//                  the shot's samples across the lanes instead.
 // ---------------------------------------------------------------------------
 
 /// Branchless int64 scalar tier — every host runs this.
@@ -128,8 +221,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
                      std::size_t n, std::int64_t bias_raw,
                      const mac_spec& spec) noexcept;
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept;
-
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
               std::size_t out_dim, std::size_t in_dim,
               const std::int32_t* in_plane, std::size_t tile,
@@ -138,6 +229,10 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept;
+
+void frontend_tile(const float* const* traces, std::size_t lanes,
+                   const frontend_spec& frontend, std::int32_t* plane,
+                   std::size_t stride, const mac_spec& spec) noexcept;
 
 }  // namespace scalar64
 
@@ -152,8 +247,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
                      std::size_t n, std::int64_t bias_raw,
                      const mac_spec& spec) noexcept;
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept;
-
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
               std::size_t out_dim, std::size_t in_dim,
               const std::int32_t* in_plane, std::size_t tile,
@@ -162,6 +255,10 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept;
+
+void frontend_tile(const float* const* traces, std::size_t lanes,
+                   const frontend_spec& frontend, std::int32_t* plane,
+                   std::size_t stride, const mac_spec& spec) noexcept;
 
 }  // namespace avx2
 
@@ -175,8 +272,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
                      std::size_t n, std::int64_t bias_raw,
                      const mac_spec& spec) noexcept;
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept;
-
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
               std::size_t out_dim, std::size_t in_dim,
               const std::int32_t* in_plane, std::size_t tile,
@@ -185,6 +280,10 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept;
+
+void frontend_tile(const float* const* traces, std::size_t lanes,
+                   const frontend_spec& frontend, std::int32_t* plane,
+                   std::size_t stride, const mac_spec& spec) noexcept;
 
 }  // namespace avx512
 
@@ -201,8 +300,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
                      std::size_t n, std::int64_t bias_raw,
                      const mac_spec& spec) noexcept;
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept;
-
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
               std::size_t out_dim, std::size_t in_dim,
               const std::int32_t* in_plane, std::size_t tile,
@@ -211,5 +308,9 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept;
+
+void frontend_tile(const float* const* traces, std::size_t lanes,
+                   const frontend_spec& frontend, std::int32_t* plane,
+                   std::size_t stride, const mac_spec& spec) noexcept;
 
 }  // namespace klinq::fx::kernels

@@ -1,5 +1,8 @@
 #include "klinq/fixed/fixed_kernels.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #if KLINQ_HAVE_X86_SIMD
 #include <immintrin.h>
 #endif
@@ -54,33 +57,48 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
   }
 }
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept {
-  std::int64_t sum = 0;
-  for (std::size_t i = 0; i < n; ++i) sum += values[i];
-  return sum;
-}
-
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept {
-  const double scale =
-      static_cast<double>(std::int64_t{1} << spec.frac_bits);
-  const double rail_max = static_cast<double>(spec.raw_max);
-  const double rail_min = static_cast<double>(spec.raw_min);
-  // Branchless selects throughout: the rail comparisons and the round
-  // direction are data-dependent and unpredictable on real traces.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double value = values[i];
-    const double scaled = value * scale;
-    // Clamp before the cast so huge/infinite/NaN inputs never reach the
-    // (otherwise UB) double->int64 conversion; the rail and NaN selects
-    // below overwrite the clamped result, so it never escapes.
-    double bounded = scaled < rail_max ? scaled : rail_max;
-    bounded = bounded > rail_min ? bounded : rail_min;
-    std::int64_t raw = round_half_away_from_zero(bounded);
-    raw = scaled >= rail_max ? spec.raw_max : raw;
-    raw = scaled <= rail_min ? spec.raw_min : raw;
-    raw = value != value ? 0 : raw;  // hardware has no NaN; define as 0
-    out[i] = static_cast<std::int32_t>(raw);
+  for (std::size_t i = 0; i < n; ++i) out[i] = quantize_raw(values[i], spec);
+}
+
+void frontend_tile(const float* const* traces, std::size_t lanes,
+                   const frontend_spec& frontend, std::int32_t* plane,
+                   std::size_t stride, const mac_spec& spec) noexcept {
+  const std::size_t n = frontend.samples;
+  const std::size_t groups = frontend.groups;
+  const std::int32_t* envelope = frontend.envelope;
+  for (std::size_t s = 0; s < lanes; ++s) {
+    std::int64_t mf = 0;
+    for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
+      const float* samples = traces[s] + quadrature * n;
+      const std::int32_t* taps =
+          envelope != nullptr ? envelope + quadrature * n : nullptr;
+      std::size_t begin = 0;
+      for (std::size_t g = 0; g < groups; ++g) {
+        const std::size_t end = frontend.group_end[g];
+        std::int64_t sum = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::int64_t x = quantize_raw(samples[i], spec);
+          sum += x;
+          if (taps != nullptr) {
+            mf += round_shift_clamp(taps[i] * x, spec.frac_bits, spec.raw_min,
+                                    spec.raw_max);
+          }
+        }
+        begin = end;
+        const std::size_t c = quadrature * groups + g;
+        plane[c * stride + s] = static_cast<std::int32_t>(normalize_raw(
+            average_raw(sum, frontend.reciprocal[g], spec), frontend.x_min[c],
+            frontend.shift[c], spec));
+      }
+    }
+    if (envelope != nullptr) {
+      const std::size_t c = 2 * groups;
+      plane[c * stride + s] = static_cast<std::int32_t>(normalize_raw(
+          clamp_raw(mf, spec.raw_min, spec.raw_max), frontend.x_min[c],
+          frontend.shift[c], spec));
+    }
   }
 }
 
@@ -182,23 +200,6 @@ __attribute__((target("avx2"))) std::int64_t mac_row_avx2(
   return clamp_raw(sum, spec.raw_min, spec.raw_max);
 }
 
-__attribute__((target("avx2"))) std::int64_t sum_row_avx2(
-    const std::int32_t* values, std::size_t n) noexcept {
-  __m256i acc_lo = _mm256_setzero_si256();
-  __m256i acc_hi = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc_lo = _mm256_add_epi64(acc_lo, load_lanes(values + i));
-    acc_hi = _mm256_add_epi64(acc_hi, load_lanes(values + i + 4));
-  }
-  const __m256i acc = _mm256_add_epi64(acc_lo, acc_hi);
-  alignas(32) std::int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::int64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) sum += values[i];
-  return sum;
-}
-
 __attribute__((target("avx2"))) void mac_tile_avx2(
     const std::int32_t* weights, const std::int32_t* bias, std::size_t out_dim,
     std::size_t in_dim, const std::int32_t* in_plane, std::size_t tile,
@@ -275,45 +276,232 @@ __attribute__((target("avx2"))) void mac_tile_avx2(
   }
 }
 
+/// Broadcast constants of the AVX2 quantizer and front end.
+struct lanes256_consts {
+  __m256d scale;
+  __m256d rail_min_pd;
+  __m256d rail_max_pd;
+  __m256d sign_bit;
+  __m256d half_pd;
+  __m256i half;  // post-scaler rounding bias 2^(F-1)
+  __m128i frac_shift;
+  __m256i rail_min;
+  __m256i rail_max;
+};
+
+__attribute__((target("avx2"))) inline lanes256_consts make_lanes256_consts(
+    const mac_spec& spec) {
+  return {
+      .scale = _mm256_set1_pd(
+          static_cast<double>(std::int64_t{1} << spec.frac_bits)),
+      .rail_min_pd = _mm256_set1_pd(static_cast<double>(spec.raw_min)),
+      .rail_max_pd = _mm256_set1_pd(static_cast<double>(spec.raw_max)),
+      .sign_bit = _mm256_set1_pd(-0.0),
+      .half_pd = _mm256_set1_pd(0.5),
+      .half = _mm256_set1_epi64x(
+          spec.frac_bits > 0 ? std::int64_t{1} << (spec.frac_bits - 1) : 0),
+      .frac_shift = _mm_cvtsi32_si128(spec.frac_bits),
+      .rail_min = _mm256_set1_epi64x(spec.raw_min),
+      .rail_max = _mm256_set1_epi64x(spec.raw_max),
+  };
+}
+
+/// quantize_raw over 4 samples, bit-identical per lane: clamp to the
+/// (integer) rails, add ±0.5 with the value's sign — exact for a float
+/// scaled by 2^F within the rails (see quantize_lanes512) — and truncate.
+/// NaN lanes are zeroed before the conversion.
+__attribute__((target("avx2"))) inline __m128i quantize_lanes(
+    __m128 samples, const lanes256_consts& k) {
+  const __m256d value = _mm256_cvtps_pd(samples);
+  const __m256d ordered = _mm256_cmp_pd(value, value, _CMP_ORD_Q);
+  const __m256d bounded = _mm256_min_pd(
+      _mm256_max_pd(_mm256_mul_pd(value, k.scale), k.rail_min_pd),
+      k.rail_max_pd);
+  const __m256d signed_half =
+      _mm256_or_pd(_mm256_and_pd(bounded, k.sign_bit), k.half_pd);
+  return _mm256_cvttpd_epi32(
+      _mm256_and_pd(_mm256_add_pd(bounded, signed_half), ordered));
+}
+
 __attribute__((target("avx2"))) void quantize_block_avx2(
     const float* values, std::size_t n, std::int32_t* out,
     const mac_spec& spec) noexcept {
-  // The scalar algorithm (truncate, exact remainder, half comparison, rails)
-  // vectorized over 4 doubles: every operation is the same IEEE operation in
-  // the same precision, so results are bit-identical per element.
-  const __m256d scale = _mm256_set1_pd(
-      static_cast<double>(std::int64_t{1} << spec.frac_bits));
-  const __m256d rail_max = _mm256_set1_pd(static_cast<double>(spec.raw_max));
-  const __m256d rail_min = _mm256_set1_pd(static_cast<double>(spec.raw_min));
-  const __m256d plus_half = _mm256_set1_pd(0.5);
-  const __m256d minus_half = _mm256_set1_pd(-0.5);
-  const __m256d one = _mm256_set1_pd(1.0);
+  const lanes256_consts k = make_lanes256_consts(spec);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d value = _mm256_cvtps_pd(_mm_loadu_ps(values + i));
-    const __m256d scaled = _mm256_mul_pd(value, scale);
-    const __m256d truncated =
-        _mm256_round_pd(scaled, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-    const __m256d remainder = _mm256_sub_pd(scaled, truncated);  // exact
-    const __m256d up =
-        _mm256_and_pd(_mm256_cmp_pd(remainder, plus_half, _CMP_GE_OQ), one);
-    const __m256d down =
-        _mm256_and_pd(_mm256_cmp_pd(remainder, minus_half, _CMP_LE_OQ), one);
-    __m256d rounded =
-        _mm256_sub_pd(_mm256_add_pd(truncated, up), down);
-    rounded = _mm256_blendv_pd(rounded, rail_max,
-                               _mm256_cmp_pd(scaled, rail_max, _CMP_GE_OQ));
-    rounded = _mm256_blendv_pd(rounded, rail_min,
-                               _mm256_cmp_pd(scaled, rail_min, _CMP_LE_OQ));
-    // NaN quantizes to 0 (hardware has no NaN); unordered lanes zero out.
-    rounded = _mm256_andnot_pd(_mm256_cmp_pd(value, value, _CMP_UNORD_Q),
-                               rounded);
-    // Every lane is now an integer within the int32 rails, so the
-    // round-to-nearest conversion is exact.
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm256_cvtpd_epi32(rounded));
+                     quantize_lanes(_mm_loadu_ps(values + i), k));
   }
   if (i < n) scalar64::quantize_block(values + i, n - i, out + i, spec);
+}
+
+/// Mask selecting the first `count` of 4 int32/float lanes.
+__attribute__((target("avx2"))) inline __m128i first_lanes_mask(
+    std::size_t count) {
+  return _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(count)),
+                         _mm_setr_epi32(0, 1, 2, 3));
+}
+
+/// NORM over 4 shot lanes (normalize_raw per lane), then stores the lanes
+/// as int32 registers at `out`.
+__attribute__((target("avx2"))) inline void normalize_store_lanes(
+    __m256i value, std::int32_t x_min, int shift, const lanes256_consts& k,
+    std::int32_t* out) {
+  const __m256i diff =
+      clamp_lanes(_mm256_sub_epi64(value, _mm256_set1_epi64x(x_min)),
+                  k.rail_min, k.rail_max);
+  __m256i result;
+  if (shift >= 0) {
+    const int right =
+        shift < max_norm_right_shift ? shift : max_norm_right_shift;
+    result = round_shift_clamp_lanes(
+        diff,
+        _mm256_set1_epi64x(right > 0 ? std::int64_t{1} << (right - 1) : 0),
+        _mm_cvtsi32_si128(right), k.rail_min, k.rail_max);
+  } else {
+    const int left =
+        -shift < max_norm_left_shift ? -shift : max_norm_left_shift;
+    result = clamp_lanes(_mm256_sll_epi64(diff, _mm_cvtsi32_si128(left)),
+                         k.rail_min, k.rail_max);
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), narrow_lanes(result));
+}
+
+/// One shot through the front end with its samples across the 4 lanes —
+/// the single-shot form of the kernel, where shot-per-lane would leave 3 of
+/// 4 lanes idle. Each 64-sample block is quantized and MF-accumulated in
+/// vectors; its int32 registers then feed the AVG adder trees, AVG and NORM
+/// in scalar code.
+__attribute__((target("avx2"))) void frontend_shot_avx2(
+    const float* trace, const frontend_spec& frontend, std::int32_t* out,
+    std::size_t stride, const lanes256_consts& k, const mac_spec& spec) {
+  constexpr std::size_t kBlock = 64;
+  const std::size_t n = frontend.samples;
+  const std::size_t groups = frontend.groups;
+  __m256i mf = _mm256_setzero_si256();
+  alignas(32) std::int32_t block[kBlock];
+  for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
+    const float* samples = trace + quadrature * n;
+    const std::int32_t* taps = frontend.envelope != nullptr
+                                   ? frontend.envelope + quadrature * n
+                                   : nullptr;
+    std::size_t g = 0;
+    std::size_t end = frontend.group_end[0];
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i < n; i += kBlock) {
+      const std::size_t count = std::min(kBlock, n - i);
+      for (std::size_t v = 0; v < count; v += 4) {
+        // Lanes past the trace's end load 0.0, which quantizes to 0 and
+        // multiplies a zero tap.
+        const __m128i mask =
+            first_lanes_mask(std::min<std::size_t>(4, count - v));
+        const __m128i x32 = quantize_lanes(
+            _mm_maskload_ps(samples + i + v, mask), k);
+        _mm_store_si128(reinterpret_cast<__m128i*>(block + v), x32);
+        if (taps != nullptr) {
+          const __m256i tap = _mm256_cvtepi32_epi64(
+              _mm_maskload_epi32(taps + i + v, mask));
+          mf = _mm256_add_epi64(
+              mf, round_shift_clamp_lanes(
+                      _mm256_mul_epi32(tap, _mm256_cvtepi32_epi64(x32)),
+                      k.half, k.frac_shift, k.rail_min, k.rail_max));
+        }
+      }
+      for (std::size_t j = 0; j < count;) {
+        const std::size_t stop = std::min(count, end - i);
+        for (; j < stop; ++j) sum += block[j];
+        if (i + stop == end) {
+          const std::size_t c = quadrature * groups + g;
+          out[c * stride] = static_cast<std::int32_t>(normalize_raw(
+              average_raw(sum, frontend.reciprocal[g], spec),
+              frontend.x_min[c], frontend.shift[c], spec));
+          sum = 0;
+          if (++g < groups) end = frontend.group_end[g];
+        }
+      }
+    }
+  }
+  if (frontend.envelope != nullptr) {
+    alignas(32) std::int64_t lanes[4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), mf);
+    const std::size_t c = 2 * groups;
+    out[c * stride] = static_cast<std::int32_t>(normalize_raw(
+        clamp_raw(lanes[0] + lanes[1] + lanes[2] + lanes[3], spec.raw_min,
+                  spec.raw_max),
+        frontend.x_min[c], frontend.shift[c], spec));
+  }
+}
+
+__attribute__((target("avx2"))) void frontend_tile_avx2(
+    const float* const* traces, std::size_t lanes,
+    const frontend_spec& frontend, std::int32_t* plane, std::size_t stride,
+    const mac_spec& spec) noexcept {
+  constexpr std::size_t kLanes = 4;
+  const std::size_t n = frontend.samples;
+  const std::size_t groups = frontend.groups;
+  const lanes256_consts k = make_lanes256_consts(spec);
+  const __m256i zero = _mm256_setzero_si256();
+  std::size_t base = 0;
+  for (; base + kLanes <= lanes; base += kLanes) {
+    const float* const* src = traces + base;
+    std::int32_t* out = plane + base;
+    __m256i mf = zero;
+    for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
+      const std::size_t offset = quadrature * n;
+      const std::int32_t* taps = frontend.envelope != nullptr
+                                     ? frontend.envelope + offset
+                                     : nullptr;
+      std::size_t g = 0;
+      std::size_t end = frontend.group_end[0];
+      __m256i sum = zero;
+      for (std::size_t i = 0; i < n; i += kLanes) {
+        // Four samples of four shots, transposed in registers so row j
+        // holds sample i + j of every shot lane.
+        const std::size_t count = std::min(kLanes, n - i);
+        const __m128i load_mask = first_lanes_mask(count);
+        __m128 rows[kLanes];
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          rows[l] = _mm_maskload_ps(src[l] + offset + i, load_mask);
+        }
+        _MM_TRANSPOSE4_PS(rows[0], rows[1], rows[2], rows[3]);
+#pragma GCC unroll 4
+        for (std::size_t j = 0; j < kLanes; ++j) {
+          if (j == count) break;
+          const __m256i x = _mm256_cvtepi32_epi64(quantize_lanes(rows[j], k));
+          sum = _mm256_add_epi64(sum, x);
+          if (taps != nullptr) {
+            mf = _mm256_add_epi64(
+                mf, round_shift_clamp_lanes(
+                        _mm256_mul_epi32(_mm256_set1_epi32(taps[i + j]), x),
+                        k.half, k.frac_shift, k.rail_min, k.rail_max));
+          }
+          if (i + j + 1 == end) {
+            const std::size_t c = quadrature * groups + g;
+            const __m256i average = round_shift_clamp_lanes(
+                _mm256_mul_epi32(clamp_lanes(sum, k.rail_min, k.rail_max),
+                                 _mm256_set1_epi32(frontend.reciprocal[g])),
+                k.half, k.frac_shift, k.rail_min, k.rail_max);
+            normalize_store_lanes(average, frontend.x_min[c],
+                                  frontend.shift[c], k, out + c * stride);
+            sum = zero;
+            if (++g < groups) end = frontend.group_end[g];
+          }
+        }
+      }
+    }
+    if (frontend.envelope != nullptr) {
+      const std::size_t c = 2 * groups;
+      normalize_store_lanes(clamp_lanes(mf, k.rail_min, k.rail_max),
+                            frontend.x_min[c], frontend.shift[c], k,
+                            out + c * stride);
+    }
+  }
+  // A ragged tail of 1-3 shots would pay for a full 4-lane pass; one at a
+  // time, each costs about what a shot costs inside a full block
+  // (bench_fixed_kernels BM_FrontendTile rows).
+  for (; base < lanes; ++base) {
+    frontend_shot_avx2(traces[base], frontend, plane + base, stride, k, spec);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -399,20 +587,6 @@ mac_row_avx512(const std::int32_t* weights, const std::int32_t* inputs,
   return clamp_raw(sum, spec.raw_min, spec.raw_max);
 }
 
-__attribute__((target("avx512f,avx512bw,avx512dq"))) std::int64_t
-sum_row_avx512(const std::int32_t* values, std::size_t n) noexcept {
-  __m512i acc_lo = _mm512_setzero_si512();
-  __m512i acc_hi = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc_lo = _mm512_add_epi64(acc_lo, load_lanes512(values + i));
-    acc_hi = _mm512_add_epi64(acc_hi, load_lanes512(values + i + 8));
-  }
-  std::int64_t sum = _mm512_reduce_add_epi64(_mm512_add_epi64(acc_lo, acc_hi));
-  for (; i < n; ++i) sum += values[i];
-  return sum;
-}
-
 __attribute__((target("avx512f,avx512bw,avx512dq"))) void mac_tile_avx512(
     const std::int32_t* weights, const std::int32_t* bias, std::size_t out_dim,
     std::size_t in_dim, const std::int32_t* in_plane, std::size_t tile,
@@ -487,45 +661,357 @@ __attribute__((target("avx512f,avx512bw,avx512dq"))) void mac_tile_avx512(
   }
 }
 
+/// Broadcast constants of the AVX-512 quantizer and front end.
+struct lanes512_consts {
+  __m512d scale;
+  __m512d rail_min_pd;
+  __m512d rail_max_pd;
+  __m512i sign_bit;
+  __m512i half_pd;      // the bit pattern of 0.5
+  __m512i half;         // post-scaler rounding bias 2^(F-1) (see
+  __m512i half_neg;     //   round_shift_sra512)
+  __m128i frac_shift;
+  __m512i rail_min;
+  __m512i rail_max;
+};
+
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline lanes512_consts
+make_lanes512_consts(const mac_spec& spec) {
+  const std::int64_t half =
+      spec.frac_bits > 0 ? std::int64_t{1} << (spec.frac_bits - 1) : 0;
+  return {
+      .scale = _mm512_set1_pd(
+          static_cast<double>(std::int64_t{1} << spec.frac_bits)),
+      .rail_min_pd = _mm512_set1_pd(static_cast<double>(spec.raw_min)),
+      .rail_max_pd = _mm512_set1_pd(static_cast<double>(spec.raw_max)),
+      .sign_bit = _mm512_set1_epi64(std::numeric_limits<std::int64_t>::min()),
+      .half_pd = _mm512_castpd_si512(_mm512_set1_pd(0.5)),
+      .half = _mm512_set1_epi64(half),
+      .half_neg = _mm512_set1_epi64(half > 0 ? half - 1 : 0),
+      .frac_shift = _mm_cvtsi32_si128(spec.frac_bits),
+      .rail_min = _mm512_set1_epi64(spec.raw_min),
+      .rail_max = _mm512_set1_epi64(spec.raw_max),
+  };
+}
+
+/// quantize_raw over 8 samples, bit-identical per lane, in 8 operations.
+/// Clamping to the rails before rounding never changes a result (the rails
+/// are integers). Adding ±0.5 with the value's sign is exact: a float
+/// scaled by 2^F has at most 24 significant bits and |x| <= 2^31, and where
+/// |x| is too small for the sum to be exact it still lies strictly between
+/// 0 and ±1. Truncation then rounds half away from zero; NaN (unordered)
+/// lanes quantize to 0 through the conversion's zero mask.
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline __m512i
+quantize_lanes512(__m256 samples, const lanes512_consts& k) {
+  const __m512d value = _mm512_cvtps_pd(samples);
+  const __mmask8 ordered = _mm512_cmp_pd_mask(value, value, _CMP_ORD_Q);
+  const __m512d bounded = _mm512_min_pd(
+      _mm512_max_pd(_mm512_mul_pd(value, k.scale), k.rail_min_pd),
+      k.rail_max_pd);
+  // (bounded & sign) | 0.5 — copysign(0.5, bounded) in one ternary op.
+  const __m512d signed_half = _mm512_castsi512_pd(_mm512_ternarylogic_epi64(
+      _mm512_castpd_si512(bounded), k.sign_bit, k.half_pd, 0xEA));
+  return _mm512_maskz_cvttpd_epi64(ordered,
+                                   _mm512_add_pd(bounded, signed_half));
+}
+
+/// round_shift_clamp over 8 lanes through the 64-bit arithmetic shift:
+/// rounding |p| / 2^k half away from zero is floor((p + bias) / 2^k) with
+/// bias 2^(k-1) for p >= 0 and 2^(k-1) - 1 for p < 0 (both 0 when k = 0).
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline __m512i
+round_shift_sra512(__m512i product, __m512i half, __m512i half_neg,
+                   __m128i shift, __m512i rail_min, __m512i rail_max) {
+  const __mmask8 negative =
+      _mm512_cmplt_epi64_mask(product, _mm512_setzero_si512());
+  const __m512i biased = _mm512_mask_add_epi64(
+      _mm512_add_epi64(product, half), negative, product, half_neg);
+  return clamp_lanes512(_mm512_sra_epi64(biased, shift), rail_min, rail_max);
+}
+
 __attribute__((target("avx512f,avx512bw,avx512dq"))) void quantize_block_avx512(
     const float* values, std::size_t n, std::int32_t* out,
     const mac_spec& spec) noexcept {
-  // The scalar algorithm (truncate, exact remainder, half comparison, rails)
-  // over 8 doubles with AVX-512 mask registers instead of blends; every
-  // operation is the same IEEE operation in the same precision, so results
-  // stay bit-identical per element.
-  const __m512d scale =
-      _mm512_set1_pd(static_cast<double>(std::int64_t{1} << spec.frac_bits));
-  const __m512d rail_max = _mm512_set1_pd(static_cast<double>(spec.raw_max));
-  const __m512d rail_min = _mm512_set1_pd(static_cast<double>(spec.raw_min));
-  const __m512d plus_half = _mm512_set1_pd(0.5);
-  const __m512d minus_half = _mm512_set1_pd(-0.5);
-  const __m512d one = _mm512_set1_pd(1.0);
+  const lanes512_consts k = make_lanes512_consts(spec);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m512d value = _mm512_cvtps_pd(_mm256_loadu_ps(values + i));
-    const __m512d scaled = _mm512_mul_pd(value, scale);
-    const __m512d truncated =
-        _mm512_roundscale_pd(scaled, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-    const __m512d remainder = _mm512_sub_pd(scaled, truncated);  // exact
-    const __mmask8 up = _mm512_cmp_pd_mask(remainder, plus_half, _CMP_GE_OQ);
-    const __mmask8 down =
-        _mm512_cmp_pd_mask(remainder, minus_half, _CMP_LE_OQ);
-    __m512d rounded = _mm512_mask_add_pd(truncated, up, truncated, one);
-    rounded = _mm512_mask_sub_pd(rounded, down, rounded, one);
-    rounded = _mm512_mask_mov_pd(
-        rounded, _mm512_cmp_pd_mask(scaled, rail_max, _CMP_GE_OQ), rail_max);
-    rounded = _mm512_mask_mov_pd(
-        rounded, _mm512_cmp_pd_mask(scaled, rail_min, _CMP_LE_OQ), rail_min);
-    // NaN quantizes to 0 (hardware has no NaN); keep only ordered lanes.
-    rounded = _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(value, value, _CMP_ORD_Q),
-                                  rounded);
-    // Every lane is now an integer within the int32 rails, so the
-    // round-to-nearest conversion is exact.
+    const __m512i raw = quantize_lanes512(_mm256_loadu_ps(values + i), k);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm512_cvtpd_epi32(rounded));
+                        _mm512_cvtepi64_epi32(raw));
   }
   if (i < n) scalar64::quantize_block(values + i, n - i, out + i, spec);
+}
+
+/// In-register 8x8 transpose: afterwards rows[j] holds element j of every
+/// input row, i.e. sample j of each of the 8 shot lanes.
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline void transpose8(
+    __m256* rows) {
+  __m256 t[8];
+  for (int r = 0; r < 8; r += 2) {
+    t[r] = _mm256_unpacklo_ps(rows[r], rows[r + 1]);
+    t[r + 1] = _mm256_unpackhi_ps(rows[r], rows[r + 1]);
+  }
+  __m256 u[8];
+  for (int r = 0; r < 8; r += 4) {
+    u[r] = _mm256_shuffle_ps(t[r], t[r + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    u[r + 1] = _mm256_shuffle_ps(t[r], t[r + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    u[r + 2] = _mm256_shuffle_ps(t[r + 1], t[r + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    u[r + 3] = _mm256_shuffle_ps(t[r + 1], t[r + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (int r = 0; r < 4; ++r) {
+    rows[r] = _mm256_permute2f128_ps(u[r], u[r + 4], 0x20);
+    rows[r + 4] = _mm256_permute2f128_ps(u[r], u[r + 4], 0x31);
+  }
+}
+
+/// NORM over 8 shot lanes (normalize_raw per lane); stores the lanes
+/// selected by `active` as int32 registers at `out`.
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline void
+normalize_store_lanes512(__m512i value, std::int32_t x_min, int shift,
+                         const lanes512_consts& k, std::int32_t* out,
+                         __mmask8 active) {
+  const __m512i diff = clamp_lanes512(
+      _mm512_sub_epi64(value, _mm512_set1_epi64(x_min)), k.rail_min,
+      k.rail_max);
+  __m512i result;
+  if (shift >= 0) {
+    const int right =
+        shift < max_norm_right_shift ? shift : max_norm_right_shift;
+    const std::int64_t half = right > 0 ? std::int64_t{1} << (right - 1) : 0;
+    result = round_shift_sra512(diff, _mm512_set1_epi64(half),
+                                _mm512_set1_epi64(half > 0 ? half - 1 : 0),
+                                _mm_cvtsi32_si128(right), k.rail_min,
+                                k.rail_max);
+  } else {
+    const int left =
+        -shift < max_norm_left_shift ? -shift : max_norm_left_shift;
+    result = clamp_lanes512(_mm512_sll_epi64(diff, _mm_cvtsi32_si128(left)),
+                            k.rail_min, k.rail_max);
+  }
+  _mm512_mask_cvtepi64_storeu_epi32(out, active, result);
+}
+
+/// Widen the first lanes (per `mask`) of 8 int32 registers to int64 lanes;
+/// masked lanes read nothing and come back 0.
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline __m512i
+load_lanes512_masked(__mmask8 mask, const void* p) {
+  return _mm512_cvtepi32_epi64(
+      _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(mask, p)));
+}
+
+/// AVG + NORM for `count` (<= 8) consecutive features of one shot, one
+/// feature per lane: `sums` holds their groups' int64 sums, `reciprocal`
+/// their 1/length registers; x_min/shift point at the first feature's
+/// parameters. The σ exponents differ per lane, so both NORM shifts run as
+/// per-lane variable shifts (a zero shift is the identity either way).
+/// Feature i lands at out[i * stride].
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline void
+average_normalize_features512(const std::int64_t* sums, std::size_t count,
+                              const std::int32_t* reciprocal,
+                              const std::int32_t* x_min, const int* shift,
+                              const lanes512_consts& k, std::int32_t* out,
+                              std::size_t stride) {
+  const auto mask = static_cast<__mmask8>((1u << count) - 1);
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512i sum = clamp_lanes512(_mm512_maskz_loadu_epi64(mask, sums),
+                                     k.rail_min, k.rail_max);
+  const __m512i product =
+      _mm512_mul_epi32(sum, load_lanes512_masked(mask, reciprocal));
+  const __m512i average =
+      round_shift_sra512(product, k.half, k.half_neg, k.frac_shift,
+                         k.rail_min, k.rail_max);
+  const __m512i offset = load_lanes512_masked(mask, x_min);
+  const __m512i diff = clamp_lanes512(_mm512_sub_epi64(average, offset),
+                                      k.rail_min, k.rail_max);
+  const __m512i exponent = load_lanes512_masked(mask, shift);
+  const __m512i right =
+      _mm512_min_epi64(_mm512_max_epi64(exponent, zero),
+                       _mm512_set1_epi64(max_norm_right_shift));
+  const __m512i left = _mm512_min_epi64(
+      _mm512_max_epi64(_mm512_sub_epi64(zero, exponent), zero),
+      _mm512_set1_epi64(max_norm_left_shift));
+  // Rounding bias 2^(right-1), and 2^(right-1) - 1 for negative values.
+  const __mmask8 shifting = _mm512_cmpgt_epi64_mask(right, zero);
+  const __m512i half =
+      _mm512_maskz_sllv_epi64(shifting, one, _mm512_sub_epi64(right, one));
+  const __m512i half_neg = _mm512_mask_sub_epi64(half, shifting, half, one);
+  const __mmask8 negative = _mm512_cmplt_epi64_mask(diff, zero);
+  const __m512i biased = _mm512_mask_add_epi64(_mm512_add_epi64(diff, half),
+                                               negative, diff, half_neg);
+  const __m512i rounded = clamp_lanes512(_mm512_srav_epi64(biased, right),
+                                         k.rail_min, k.rail_max);
+  const __m512i result = clamp_lanes512(_mm512_sllv_epi64(rounded, left),
+                                        k.rail_min, k.rail_max);
+  alignas(32) std::int32_t lanes[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
+                     _mm512_cvtepi64_epi32(result));
+  for (std::size_t i = 0; i < count; ++i) out[i * stride] = lanes[i];
+}
+
+/// One shot through the front end with its samples across the 8 lanes —
+/// the single-shot form of the kernel, where shot-per-lane would leave 7 of
+/// 8 lanes idle. Each 64-sample block is quantized and MF-accumulated in
+/// vectors; its int32 registers then feed the AVG adder trees in scalar
+/// code, and every 8 finished groups take AVG + NORM together in vectors.
+__attribute__((target("avx512f,avx512bw,avx512dq"))) void frontend_shot_avx512(
+    const float* trace, const frontend_spec& frontend, std::int32_t* out,
+    std::size_t stride, const lanes512_consts& k, const mac_spec& spec) {
+  constexpr std::size_t kBlock = 64;
+  const std::size_t n = frontend.samples;
+  const std::size_t groups = frontend.groups;
+  __m512i mf = _mm512_setzero_si512();
+  alignas(64) std::int32_t block[kBlock];
+  std::int64_t sums[8];
+  for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
+    const float* samples = trace + quadrature * n;
+    const std::int32_t* taps = frontend.envelope != nullptr
+                                   ? frontend.envelope + quadrature * n
+                                   : nullptr;
+    // Finished groups [first, g) wait in sums[] for their AVG + NORM.
+    std::size_t g = 0;
+    std::size_t first = 0;
+    std::size_t end = frontend.group_end[0];
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i < n; i += kBlock) {
+      const std::size_t count = std::min(kBlock, n - i);
+      for (std::size_t v = 0; v < count; v += 8) {
+        // Lanes past the trace's end load 0.0, which quantizes to 0 and
+        // multiplies a zero tap.
+        const auto mask = static_cast<__mmask16>(
+            (1u << std::min<std::size_t>(8, count - v)) - 1);
+        const __m512i x = quantize_lanes512(
+            _mm512_castps512_ps256(
+                _mm512_maskz_loadu_ps(mask, samples + i + v)),
+            k);
+        _mm256_store_si256(reinterpret_cast<__m256i*>(block + v),
+                           _mm512_cvtepi64_epi32(x));
+        if (taps != nullptr) {
+          const __m512i tap = load_lanes512_masked(static_cast<__mmask8>(mask),
+                                                   taps + i + v);
+          mf = _mm512_add_epi64(
+              mf, round_shift_sra512(_mm512_mul_epi32(tap, x), k.half,
+                                     k.half_neg, k.frac_shift, k.rail_min,
+                                     k.rail_max));
+        }
+      }
+      for (std::size_t j = 0; j < count;) {
+        const std::size_t stop = std::min(count, end - i);
+        for (; j < stop; ++j) sum += block[j];
+        if (i + stop == end) {
+          sums[g - first] = sum;
+          sum = 0;
+          if (++g - first == 8) {
+            const std::size_t c = quadrature * groups + first;
+            average_normalize_features512(
+                sums, 8, frontend.reciprocal + first, frontend.x_min + c,
+                frontend.shift + c, k, out + c * stride, stride);
+            first = g;
+          }
+          if (g < groups) end = frontend.group_end[g];
+        }
+      }
+    }
+    if (g > first) {
+      const std::size_t c = quadrature * groups + first;
+      average_normalize_features512(sums, g - first,
+                                    frontend.reciprocal + first,
+                                    frontend.x_min + c, frontend.shift + c, k,
+                                    out + c * stride, stride);
+    }
+  }
+  if (frontend.envelope != nullptr) {
+    const std::size_t c = 2 * groups;
+    out[c * stride] = static_cast<std::int32_t>(normalize_raw(
+        clamp_raw(_mm512_reduce_add_epi64(mf), spec.raw_min, spec.raw_max),
+        frontend.x_min[c], frontend.shift[c], spec));
+  }
+}
+
+/// Fewest shots an 8-lane block holds for shot-per-lane to beat running
+/// each shot through frontend_shot_avx512: a block costs about as much as
+/// three to six single shots (bench_fixed_kernels BM_FrontendTile rows).
+constexpr std::size_t kMinLaneShots512 = 4;
+
+__attribute__((target("avx512f,avx512bw,avx512dq"))) void frontend_tile_avx512(
+    const float* const* traces, std::size_t lanes,
+    const frontend_spec& frontend, std::int32_t* plane, std::size_t stride,
+    const mac_spec& spec) noexcept {
+  constexpr std::size_t kLanes = 8;
+  const std::size_t n = frontend.samples;
+  const std::size_t groups = frontend.groups;
+  const lanes512_consts k = make_lanes512_consts(spec);
+  const __m512i zero = _mm512_setzero_si512();
+  for (std::size_t base = 0; base < lanes; base += kLanes) {
+    const std::size_t active = std::min(kLanes, lanes - base);
+    std::int32_t* out = plane + base;
+    if (active < kMinLaneShots512) {
+      for (std::size_t l = 0; l < active; ++l) {
+        frontend_shot_avx512(traces[base + l], frontend, out + l, stride, k,
+                             spec);
+      }
+      continue;
+    }
+    const auto active_mask = static_cast<__mmask8>((1u << active) - 1);
+    // Lanes past a ragged tile's end re-read its first shot; their results
+    // are never stored.
+    const float* src[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      src[l] = traces[base + (l < active ? l : 0)];
+    }
+    __m512i mf = zero;
+    for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
+      const std::size_t offset = quadrature * n;
+      const std::int32_t* taps = frontend.envelope != nullptr
+                                     ? frontend.envelope + offset
+                                     : nullptr;
+      std::size_t g = 0;
+      std::size_t end = frontend.group_end[0];
+      __m512i sum = zero;
+      for (std::size_t i = 0; i < n; i += kLanes) {
+        // Eight samples of eight shots, transposed in registers so row j
+        // holds sample i + j of every shot lane.
+        const std::size_t count = std::min(kLanes, n - i);
+        const auto load_mask = static_cast<__mmask16>((1u << count) - 1);
+        __m256 rows[kLanes];
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          rows[l] = _mm512_castps512_ps256(
+              _mm512_maskz_loadu_ps(load_mask, src[l] + offset + i));
+        }
+        transpose8(rows);
+#pragma GCC unroll 8
+        for (std::size_t j = 0; j < kLanes; ++j) {
+          if (j == count) break;
+          const __m512i x = quantize_lanes512(rows[j], k);
+          sum = _mm512_add_epi64(sum, x);
+          if (taps != nullptr) {
+            mf = _mm512_add_epi64(
+                mf, round_shift_sra512(
+                        _mm512_mul_epi32(_mm512_set1_epi32(taps[i + j]), x),
+                        k.half, k.half_neg, k.frac_shift, k.rail_min,
+                        k.rail_max));
+          }
+          if (i + j + 1 == end) {
+            const std::size_t c = quadrature * groups + g;
+            const __m512i average = round_shift_sra512(
+                _mm512_mul_epi32(clamp_lanes512(sum, k.rail_min, k.rail_max),
+                                 _mm512_set1_epi32(frontend.reciprocal[g])),
+                k.half, k.half_neg, k.frac_shift, k.rail_min, k.rail_max);
+            normalize_store_lanes512(average, frontend.x_min[c],
+                                     frontend.shift[c], k, out + c * stride,
+                                     active_mask);
+            sum = zero;
+            if (++g < groups) end = frontend.group_end[g];
+          }
+        }
+      }
+    }
+    if (frontend.envelope != nullptr) {
+      const std::size_t c = 2 * groups;
+      normalize_store_lanes512(clamp_lanes512(mf, k.rail_min, k.rail_max),
+                               frontend.x_min[c], frontend.shift[c], k,
+                               out + c * stride, active_mask);
+    }
+  }
 }
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -542,10 +1028,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
   return mac_row_avx2(weights, inputs, n, bias_raw, spec);
 }
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept {
-  return sum_row_avx2(values, n);
-}
-
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
               std::size_t out_dim, std::size_t in_dim,
               const std::int32_t* in_plane, std::size_t tile,
@@ -560,6 +1042,12 @@ void quantize_block(const float* values, std::size_t n, std::int32_t* out,
   quantize_block_avx2(values, n, out, spec);
 }
 
+void frontend_tile(const float* const* traces, std::size_t lanes,
+                   const frontend_spec& frontend, std::int32_t* plane,
+                   std::size_t stride, const mac_spec& spec) noexcept {
+  frontend_tile_avx2(traces, lanes, frontend, plane, stride, spec);
+}
+
 }  // namespace avx2
 
 namespace avx512 {
@@ -568,10 +1056,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
                      std::size_t n, std::int64_t bias_raw,
                      const mac_spec& spec) noexcept {
   return mac_row_avx512(weights, inputs, n, bias_raw, spec);
-}
-
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept {
-  return sum_row_avx512(values, n);
 }
 
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
@@ -586,6 +1070,12 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept {
   quantize_block_avx512(values, n, out, spec);
+}
+
+void frontend_tile(const float* const* traces, std::size_t lanes,
+                   const frontend_spec& frontend, std::int32_t* plane,
+                   std::size_t stride, const mac_spec& spec) noexcept {
+  frontend_tile_avx512(traces, lanes, frontend, plane, stride, spec);
 }
 
 }  // namespace avx512
@@ -603,10 +1093,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
   return scalar64::mac_row(weights, inputs, n, bias_raw, spec);
 }
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept {
-  return scalar64::sum_row(values, n);
-}
-
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
               std::size_t out_dim, std::size_t in_dim,
               const std::int32_t* in_plane, std::size_t tile,
@@ -619,6 +1105,12 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept {
   scalar64::quantize_block(values, n, out, spec);
+}
+
+void frontend_tile(const float* const* traces, std::size_t lanes,
+                   const frontend_spec& frontend, std::int32_t* plane,
+                   std::size_t stride, const mac_spec& spec) noexcept {
+  scalar64::frontend_tile(traces, lanes, frontend, plane, stride, spec);
 }
 
 }  // namespace avx2
@@ -631,10 +1123,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
   return scalar64::mac_row(weights, inputs, n, bias_raw, spec);
 }
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept {
-  return scalar64::sum_row(values, n);
-}
-
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
               std::size_t out_dim, std::size_t in_dim,
               const std::int32_t* in_plane, std::size_t tile,
@@ -647,6 +1135,12 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept {
   scalar64::quantize_block(values, n, out, spec);
+}
+
+void frontend_tile(const float* const* traces, std::size_t lanes,
+                   const frontend_spec& frontend, std::int32_t* plane,
+                   std::size_t stride, const mac_spec& spec) noexcept {
+  scalar64::frontend_tile(traces, lanes, frontend, plane, stride, spec);
 }
 
 }  // namespace avx512
@@ -670,28 +1164,30 @@ namespace {
 struct kernel_table {
   std::int64_t (*mac_row)(const std::int32_t*, const std::int32_t*,
                           std::size_t, std::int64_t, const mac_spec&) noexcept;
-  std::int64_t (*sum_row)(const std::int32_t*, std::size_t) noexcept;
   void (*mac_tile)(const std::int32_t*, const std::int32_t*, std::size_t,
                    std::size_t, const std::int32_t*, std::size_t, std::size_t,
                    bool, std::int32_t*, const mac_spec&) noexcept;
   void (*quantize_block)(const float*, std::size_t, std::int32_t*,
                          const mac_spec&) noexcept;
+  void (*frontend_tile)(const float* const*, std::size_t,
+                        const frontend_spec&, std::int32_t*, std::size_t,
+                        const mac_spec&) noexcept;
 };
 
 const kernel_table& active_table() noexcept {
   static const kernel_table table = [] {
     switch (active_simd_tier()) {
       case simd_tier::avx512:
-        return kernel_table{avx512::mac_row, avx512::sum_row, avx512::mac_tile,
-                            avx512::quantize_block};
+        return kernel_table{avx512::mac_row, avx512::mac_tile,
+                            avx512::quantize_block, avx512::frontend_tile};
       case simd_tier::avx2:
-        return kernel_table{avx2::mac_row, avx2::sum_row, avx2::mac_tile,
-                            avx2::quantize_block};
+        return kernel_table{avx2::mac_row, avx2::mac_tile,
+                            avx2::quantize_block, avx2::frontend_tile};
       case simd_tier::scalar64:
         break;
     }
-    return kernel_table{scalar64::mac_row, scalar64::sum_row,
-                        scalar64::mac_tile, scalar64::quantize_block};
+    return kernel_table{scalar64::mac_row, scalar64::mac_tile,
+                        scalar64::quantize_block, scalar64::frontend_tile};
   }();
   return table;
 }
@@ -702,10 +1198,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
                      std::size_t n, std::int64_t bias_raw,
                      const mac_spec& spec) noexcept {
   return active_table().mac_row(weights, inputs, n, bias_raw, spec);
-}
-
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept {
-  return active_table().sum_row(values, n);
 }
 
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
@@ -720,6 +1212,12 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept {
   active_table().quantize_block(values, n, out, spec);
+}
+
+void frontend_tile(const float* const* traces, std::size_t lanes,
+                   const frontend_spec& frontend, std::int32_t* plane,
+                   std::size_t stride, const mac_spec& spec) noexcept {
+  active_table().frontend_tile(traces, lanes, frontend, plane, stride, spec);
 }
 
 }  // namespace klinq::fx::kernels

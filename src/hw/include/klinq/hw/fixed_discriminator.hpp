@@ -6,10 +6,17 @@
 // reproduces the float model's decision (the paper's "maintains
 // discrimination accuracy" claim for Q16.16).
 //
-// Dataset-scale evaluation goes through logits(): traces are quantized and
-// feature-extracted into cache-blocked tiles and pushed through the batched
-// fixed-point forward, parallelized over the global thread pool with one
-// scratch arena per worker chunk — bit-identical to the single-shot path.
+// For formats on the int64 kernel fast path every entry point — logit(),
+// logits_block(), logits_lanes() and the pool-parallel logits() — runs one
+// datapath over tiles of up to kBatchTile shots: a single frontend_tile
+// pass streams each float trace once through quantize → AVG ∥ MF → NORM
+// with one shot per SIMD lane (a tile of only a few shots runs them one at
+// a time, samples across the lanes), writing the feature-major plane the
+// network tile (mac_tile per layer) consumes directly. logit() is a
+// one-lane tile.
+// No fixed<I,F> temporary or quantized trace is materialized; results are
+// bit-identical to the fixed<I,F> reference path (quantize_trace + extract
+// + forward_logit), which wide formats (Q24.24) keep running.
 #pragma once
 
 #include <cstdint>
@@ -25,17 +32,17 @@
 
 namespace klinq::hw {
 
-/// Reusable buffers for the full trace→decision path: the quantized trace
-/// register file, a feature tile, and the network's ping-pong arena. The
-/// `_raw` members back the kernel fast path (32-bit formats): the quantized
-/// trace, the feature-major feature plane and the tile's output logits as
-/// raw int32 registers.
+/// Reusable buffers for the full trace→decision path. The fixed<I,F>
+/// reference path uses the quantized trace register file, a feature tile
+/// and the network's ping-pong arena; the kernel fast path (32-bit formats)
+/// uses the feature-major raw plane, the tile's raw output logits, and an
+/// AVG layout for trace durations the front end was not built for.
 template <class Fixed>
 struct discriminator_scratch {
   std::vector<Fixed> trace;
   la::matrix<Fixed> features;
   quantized_scratch<Fixed> net;
-  aligned_vector<std::int32_t> trace_raw;
+  frontend_layout layout;
   aligned_vector<std::int32_t> plane_raw;
   aligned_vector<std::int32_t> logits_raw;
 };
@@ -60,15 +67,13 @@ class fixed_discriminator {
   Fixed logit(std::span<const float> trace, std::size_t samples_per_quadrature,
               discriminator_scratch<Fixed>& scratch) const {
     if constexpr (quantized_network<Fixed>::kernel_fast_path) {
-      // Raw-register pipeline, exactly like one lane of logits_block — the
-      // mid-circuit repeated-measurement hot path.
-      scratch.trace_raw.resize(trace.size());
-      fixed_frontend<Fixed>::quantize_trace_raw(trace, scratch.trace_raw);
-      scratch.plane_raw.resize(frontend_.output_width());
-      frontend_.extract_raw(scratch.trace_raw, samples_per_quadrature,
-                            scratch.plane_raw.data(), 1);
-      return Fixed::from_raw(
-          net_.forward_logit_raw(scratch.plane_raw.data(), scratch.net));
+      // A one-lane tile — the mid-circuit repeated-measurement hot path.
+      KLINQ_REQUIRE(trace.size() == 2 * samples_per_quadrature,
+                    "fixed_discriminator: trace width != 2N");
+      const float* lane = trace.data();
+      Fixed out;
+      run_tile(&lane, 1, samples_per_quadrature, &out, scratch);
+      return out;
     } else {
       scratch.trace.resize(trace.size());
       fixed_frontend<Fixed>::quantize_trace(trace, scratch.trace);
@@ -104,11 +109,10 @@ class fixed_discriminator {
   }
 
   /// Serial ADC-to-logit evaluation of dataset rows [row_begin, row_end)
-  /// through caller-provided scratch: quantize + extract into cache-blocked
-  /// tiles, then the batched fixed-point forward. Writes out[r - row_begin]
-  /// for each row r; bit-identical to logit() per trace. Zero steady-state
-  /// allocation once the scratch is warm — this is the serve engine's shard
-  /// executor.
+  /// through caller-provided scratch, in tiles of kBatchTile shots. Writes
+  /// out[r - row_begin] for each row r; bit-identical to logit() per trace.
+  /// Zero steady-state allocation once the scratch is warm — this is the
+  /// serve engine's shard executor.
   void logits_block(const data::trace_dataset& dataset, std::size_t row_begin,
                     std::size_t row_end, std::span<Fixed> out,
                     discriminator_scratch<Fixed>& scratch) const {
@@ -117,46 +121,20 @@ class fixed_discriminator {
     KLINQ_REQUIRE(out.size() == row_end - row_begin,
                   "fixed_discriminator: one logit per row required");
     const std::size_t n = dataset.samples_per_quadrature();
-    const std::size_t width = frontend_.output_width();
     constexpr std::size_t kTile = quantized_network<Fixed>::kBatchTile;
     if constexpr (quantized_network<Fixed>::kernel_fast_path) {
-      // Raw-register pipeline: quantize and extract straight into the
-      // feature-major plane, forward the whole tile through the dispatched
-      // kernels — no fixed<I,F> temporaries anywhere on the hot path.
-      scratch.trace_raw.resize(dataset.feature_width());
-      scratch.plane_raw.resize(width * kTile);
-      scratch.logits_raw.resize(kTile);
+      const float* traces[kTile];
       for (std::size_t tile_begin = row_begin; tile_begin < row_end;
            tile_begin += kTile) {
         const std::size_t tile = std::min(kTile, row_end - tile_begin);
-        if (tile < 4) {
-          // Too few shots for the tile kernel's lanes: extract contiguously
-          // and run the row kernel, which vectorizes along the features.
-          for (std::size_t s = 0; s < tile; ++s) {
-            fixed_frontend<Fixed>::quantize_trace_raw(
-                dataset.trace(tile_begin + s), scratch.trace_raw);
-            frontend_.extract_raw(scratch.trace_raw, n,
-                                  scratch.plane_raw.data(), 1);
-            out[tile_begin - row_begin + s] = Fixed::from_raw(
-                net_.forward_logit_raw(scratch.plane_raw.data(),
-                                       scratch.net));
-          }
-          continue;
-        }
         for (std::size_t s = 0; s < tile; ++s) {
-          fixed_frontend<Fixed>::quantize_trace_raw(
-              dataset.trace(tile_begin + s), scratch.trace_raw);
-          frontend_.extract_raw(scratch.trace_raw, n,
-                                scratch.plane_raw.data() + s, kTile);
+          traces[s] = dataset.trace(tile_begin + s).data();
         }
-        net_.forward_logits_plane(scratch.plane_raw.data(), tile,
-                                  scratch.logits_raw.data(), scratch.net);
-        for (std::size_t s = 0; s < tile; ++s) {
-          out[tile_begin - row_begin + s] =
-              Fixed::from_raw(scratch.logits_raw[s]);
-        }
+        run_tile(traces, tile, n, out.data() + (tile_begin - row_begin),
+                 scratch);
       }
     } else {
+      const std::size_t width = frontend_.output_width();
       scratch.trace.resize(dataset.feature_width());
       for (std::size_t tile_begin = row_begin; tile_begin < row_end;
            tile_begin += kTile) {
@@ -178,12 +156,12 @@ class fixed_discriminator {
   }
 
   /// Lane-packed single-shot evaluation: one row drawn from each of `lanes`
-  /// (possibly distinct) datasets, pushed through one shared feature plane
-  /// and one network tile. datasets[s]/rows[s] name lane s's trace; out[s]
-  /// receives its logit. Bit-identical to logit()/logits_block() per trace —
-  /// the integer datapath is exact, so lane position and tile width never
-  /// change a register. This is the serve coalescer's cross-request
-  /// lane-pack executor. Requires 0 < lanes <= kBatchTile.
+  /// (possibly distinct) datasets of one trace duration, pushed through one
+  /// tile. datasets[s]/rows[s] name lane s's trace; out[s] receives its
+  /// logit. Bit-identical to logit()/logits_block() per trace — the integer
+  /// datapath is exact, so lane position and tile width never change a
+  /// register. This is the serve coalescer's cross-request lane-pack
+  /// executor. Requires 0 < lanes <= kBatchTile.
   void logits_lanes(const data::trace_dataset* const* datasets,
                     const std::size_t* rows, std::size_t lanes,
                     std::span<Fixed> out,
@@ -194,22 +172,15 @@ class fixed_discriminator {
     KLINQ_REQUIRE(out.size() == lanes,
                   "fixed_discriminator: one logit per lane required");
     if constexpr (quantized_network<Fixed>::kernel_fast_path) {
-      const std::size_t width = frontend_.output_width();
-      scratch.plane_raw.resize(width * kTile);
-      scratch.logits_raw.resize(kTile);
+      const std::size_t n = datasets[0]->samples_per_quadrature();
+      const float* traces[kTile];
       for (std::size_t s = 0; s < lanes; ++s) {
-        const data::trace_dataset& ds = *datasets[s];
-        scratch.trace_raw.resize(ds.feature_width());
-        fixed_frontend<Fixed>::quantize_trace_raw(ds.trace(rows[s]),
-                                                  scratch.trace_raw);
-        frontend_.extract_raw(scratch.trace_raw, ds.samples_per_quadrature(),
-                              scratch.plane_raw.data() + s, kTile);
+        KLINQ_REQUIRE(datasets[s]->samples_per_quadrature() == n,
+                      "fixed_discriminator: lanes of one tile must share "
+                      "the trace duration");
+        traces[s] = datasets[s]->trace(rows[s]).data();
       }
-      net_.forward_logits_plane(scratch.plane_raw.data(), lanes,
-                                scratch.logits_raw.data(), scratch.net);
-      for (std::size_t s = 0; s < lanes; ++s) {
-        out[s] = Fixed::from_raw(scratch.logits_raw[s]);
-      }
+      run_tile(traces, lanes, n, out.data(), scratch);
     } else {
       // Wide formats stay on the fixed<I,F> reference path per lane.
       for (std::size_t s = 0; s < lanes; ++s) {
@@ -282,6 +253,25 @@ class fixed_discriminator {
   }
 
  private:
+  /// The fast-path datapath: `lanes` traces of N samples through one
+  /// frontend_tile pass into the feature plane, then the network tile;
+  /// writes out[0..lanes).
+  void run_tile(const float* const* traces, std::size_t lanes, std::size_t n,
+                Fixed* out, discriminator_scratch<Fixed>& scratch) const
+    requires(quantized_network<Fixed>::kernel_fast_path)
+  {
+    constexpr std::size_t kTile = quantized_network<Fixed>::kBatchTile;
+    scratch.plane_raw.resize(frontend_.output_width() * kTile);
+    scratch.logits_raw.resize(kTile);
+    frontend_.extract_tile(traces, lanes, n, scratch.plane_raw.data(), kTile,
+                           scratch.layout);
+    net_.forward_logits_plane(scratch.plane_raw.data(), lanes,
+                              scratch.logits_raw.data(), scratch.net);
+    for (std::size_t s = 0; s < lanes; ++s) {
+      out[s] = Fixed::from_raw(scratch.logits_raw[s]);
+    }
+  }
+
   fixed_frontend<Fixed> frontend_;
   quantized_network<Fixed> net_;
 };

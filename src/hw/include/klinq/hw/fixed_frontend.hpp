@@ -10,8 +10,19 @@
 //   CONCAT — [avg I | avg Q | MF] forms the student network input.
 //
 // Constructed from a fitted float feature_pipeline; all calibration
-// constants are quantized once at build time, exactly like writing the
-// FPGA's parameter BRAM.
+// constants — quantized envelope, x_min, shift exponents, and for the trace
+// duration the matched filter fixes the AVG group bounds and reciprocals —
+// are computed once at build time, exactly like writing the FPGA's
+// parameter BRAM.
+//
+// Two datapaths compute the same registers. extract() is the fixed<I,F>
+// reference (int128 products, per-operation saturation). For formats on
+// the int64 kernel fast path, extract_tile() is the deployed datapath: like
+// the FPGA, where ADC samples stream once through AVG ∥ MF → NORM, one
+// fx::kernels::frontend_tile pass over a tile of float traces quantizes
+// every sample, feeds it to its group's adder tree and the MF MAC, applies
+// the reciprocal and NORM at each group boundary, and writes the features
+// straight into the network's feature-major plane — one shot per SIMD lane.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +36,15 @@
 #include "klinq/fixed/fixed_kernels.hpp"
 
 namespace klinq::hw {
+
+/// AVG parameters for one trace duration: the G group ends within a
+/// quadrature and each group's raw 1/length register (the layout
+/// fx::kernels::frontend_spec points into).
+struct frontend_layout {
+  std::size_t samples = 0;
+  std::vector<std::size_t> group_end;
+  std::vector<std::int32_t> reciprocal;
+};
 
 template <class Fixed>
 class fixed_frontend {
@@ -47,19 +67,28 @@ class fixed_frontend {
       for (const float w : pipeline.filter().envelope()) {
         mf_envelope_.push_back(Fixed::from_double(w));
       }
-      if constexpr (kernel_fast_path) {
-        mf_envelope_raw_.reserve(mf_envelope_.size());
-        for (const Fixed w : mf_envelope_) {
-          mf_envelope_raw_.push_back(static_cast<std::int32_t>(w.raw()));
-        }
-      }
     }
     const auto& norm = pipeline.normalizer();
+    KLINQ_REQUIRE(norm.feature_width() == output_width(),
+                  "fixed_frontend: normalizer width != feature width");
     for (std::size_t c = 0; c < norm.feature_width(); ++c) {
       x_min_.push_back(Fixed::from_double(norm.x_min()[c]));
     }
     shift_.assign(norm.shift_exponents().begin(),
                   norm.shift_exponents().end());
+    if constexpr (kernel_fast_path) {
+      for (const Fixed w : mf_envelope_) {
+        mf_envelope_raw_.push_back(static_cast<std::int32_t>(w.raw()));
+      }
+      for (const Fixed x : x_min_) {
+        x_min_raw_.push_back(static_cast<std::int32_t>(x.raw()));
+      }
+      // The matched filter fixes the trace duration, so its AVG layout is
+      // known now; without one, kernel_spec builds it per call's N.
+      if (use_mf_ && mf_envelope_.size() / 2 >= groups_) {
+        build_layout(mf_envelope_.size() / 2, layout_);
+      }
+    }
   }
 
   std::size_t output_width() const noexcept {
@@ -145,13 +174,52 @@ class fixed_frontend {
     }
   }
 
-  /// Fast-path extract over a raw register plane — bit-identical to
-  /// extract() per feature. Writes feature c to out[c * out_stride]; a
-  /// stride of quantized_network::kBatchTile lays consecutive shots out
-  /// feature-major, directly consumable by forward_logits_plane. The big
-  /// loops (AVG adder trees, the 2N-wide MF MAC) run on int32/int64 raws
-  /// with the kernel post-scaler; the handful of per-feature NORM ops reuse
-  /// the fixed<I,F> reference arithmetic.
+  /// The parameter BRAM for N-sample traces as the frontend_tile kernel
+  /// reads it. Validates N against the front end; the AVG layout comes from
+  /// construction when N is the matched filter's duration, else it is built
+  /// into `spare` (kept there until N changes).
+  fx::kernels::frontend_spec kernel_spec(std::size_t samples_per_quadrature,
+                                         frontend_layout& spare) const
+    requires(kernel_fast_path)
+  {
+    const std::size_t n = samples_per_quadrature;
+    KLINQ_REQUIRE(groups_ > 0, "fixed_frontend: unconfigured front end");
+    KLINQ_REQUIRE(n >= groups_, "fixed_frontend: fewer samples than groups");
+    KLINQ_REQUIRE(!use_mf_ || mf_envelope_.size() == 2 * n,
+                  "fixed_frontend: envelope width does not match this trace "
+                  "duration (rebuild the front-end for the new duration)");
+    const frontend_layout* layout = &layout_;
+    if (layout_.samples != n) {
+      if (spare.samples != n) build_layout(n, spare);
+      layout = &spare;
+    }
+    return {.samples = n,
+            .groups = groups_,
+            .group_end = layout->group_end.data(),
+            .reciprocal = layout->reciprocal.data(),
+            .envelope = use_mf_ ? mf_envelope_raw_.data() : nullptr,
+            .x_min = x_min_raw_.data(),
+            .shift = shift_.data()};
+  }
+
+  /// The deployed datapath: quantize + AVG ∥ MF → NORM for `lanes` float
+  /// traces of 2N samples (traces[s] is shot s) in one dispatched
+  /// frontend_tile pass. Feature c of shot s lands at plane[c * stride + s];
+  /// bit-identical to quantize_trace + extract per shot.
+  void extract_tile(const float* const* traces, std::size_t lanes,
+                    std::size_t samples_per_quadrature, std::int32_t* plane,
+                    std::size_t stride, frontend_layout& spare) const
+    requires(kernel_fast_path)
+  {
+    KLINQ_REQUIRE(lanes <= stride, "fixed_frontend: tile wider than stride");
+    fx::kernels::frontend_tile(traces, lanes,
+                               kernel_spec(samples_per_quadrature, spare),
+                               plane, stride, kSpec);
+  }
+
+  /// extract() over an already-quantized raw register trace (e.g. from
+  /// quantize_trace_raw) — bit-identical to extract() per feature. Writes
+  /// feature c to out[c * out_stride].
   void extract_raw(std::span<const std::int32_t> trace,
                    std::size_t samples_per_quadrature, std::int32_t* out,
                    std::size_t out_stride) const
@@ -159,64 +227,31 @@ class fixed_frontend {
   {
     const std::size_t n = samples_per_quadrature;
     KLINQ_REQUIRE(trace.size() == 2 * n, "fixed_frontend: trace width != 2N");
-    KLINQ_REQUIRE(n >= groups_, "fixed_frontend: fewer samples than groups");
-    KLINQ_REQUIRE(!use_mf_ || mf_envelope_.size() == 2 * n,
-                  "fixed_frontend: envelope width does not match this trace "
-                  "duration (rebuild the front-end for the new duration)");
-
-    // AVG: adder tree per group (exact int64 sum, one saturation), multiply
-    // by the reciprocal group length through the kernel post-scaler. Group
-    // lengths take at most two values (floor/ceil of n/groups), so the
-    // reciprocal — a configuration constant in hardware — is recomputed
-    // only when the length changes, not per group.
-    std::size_t cached_length = 0;
-    std::int64_t cached_reciprocal = 0;
+    frontend_layout spare;
+    const fx::kernels::frontend_spec spec = kernel_spec(n, spare);
     for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
+      const std::int32_t* samples = trace.data() + quadrature * n;
+      std::size_t begin = 0;
       for (std::size_t g = 0; g < groups_; ++g) {
-        const std::size_t begin = g * n / groups_;
-        const std::size_t end = (g + 1) * n / groups_;
-        if (end - begin != cached_length) {
-          cached_length = end - begin;
-          cached_reciprocal =
-              Fixed::from_double(1.0 / static_cast<double>(cached_length))
-                  .raw();
+        std::int64_t sum = 0;
+        for (std::size_t s = begin; s < spec.group_end[g]; ++s) {
+          sum += samples[s];
         }
-        const std::int32_t* samples = trace.data() + quadrature * n;
-        const std::int64_t sum =
-            fx::kernels::sum_row(samples + begin, end - begin);
-        const std::int64_t tree =
-            fx::kernels::clamp_raw(sum, Fixed::raw_min, Fixed::raw_max);
-        out[(quadrature * groups_ + g) * out_stride] =
-            static_cast<std::int32_t>(fx::kernels::round_shift_clamp(
-                tree * cached_reciprocal, Fixed::frac_bits, Fixed::raw_min,
-                Fixed::raw_max));
-      }
-    }
-
-    // MF: wide MAC over the raw quantized trace.
-    const std::size_t width = output_width();
-    if (use_mf_) {
-      out[(width - 1) * out_stride] =
-          static_cast<std::int32_t>(fx::kernels::mac_row(
-              mf_envelope_raw_.data(), trace.data(), trace.size(), 0, kSpec));
-    }
-
-    // NORM: (x − x_min) >> k for every concatenated feature. For k >= 0 the
-    // kernel post-scaler IS shifted_right (round to nearest on the
-    // magnitude, ties away, then the rails); negative exponents (a
-    // saturating shift left) fall back to the reference arithmetic.
-    for (std::size_t c = 0; c < width; ++c) {
-      const std::int64_t diff = fx::kernels::clamp_raw(
-          out[c * out_stride] - x_min_[c].raw(), Fixed::raw_min,
-          Fixed::raw_max);
-      if (shift_[c] >= 0) {
-        out[c * out_stride] =
-            static_cast<std::int32_t>(fx::kernels::round_shift_clamp(
-                diff, shift_[c], Fixed::raw_min, Fixed::raw_max));
-      } else {
+        begin = spec.group_end[g];
+        const std::size_t c = quadrature * groups_ + g;
+        const std::int64_t average =
+            fx::kernels::average_raw(sum, spec.reciprocal[g], kSpec);
         out[c * out_stride] = static_cast<std::int32_t>(
-            Fixed::from_raw(diff).shifted_left(-shift_[c]).raw());
+            fx::kernels::normalize_raw(average, spec.x_min[c], spec.shift[c],
+                                       kSpec));
       }
+    }
+    if (use_mf_) {
+      const std::size_t c = 2 * groups_;
+      const std::int64_t mf = fx::kernels::mac_row(
+          spec.envelope, trace.data(), trace.size(), 0, kSpec);
+      out[c * out_stride] = static_cast<std::int32_t>(
+          fx::kernels::normalize_raw(mf, spec.x_min[c], spec.shift[c], kSpec));
     }
   }
 
@@ -224,12 +259,33 @@ class fixed_frontend {
   static constexpr fx::kernels::mac_spec kSpec =
       fx::kernels::spec_or_default<Fixed>();
 
+  /// Group g covers [gN/G, (g+1)N/G) (interval_averager); its reciprocal is
+  /// a configuration constant quantized once, never a runtime division.
+  void build_layout(std::size_t n, frontend_layout& layout) const {
+    layout.samples = n;
+    layout.group_end.resize(groups_);
+    layout.reciprocal.resize(groups_);
+    for (std::size_t g = 0; g < groups_; ++g) {
+      const std::size_t begin =
+          dsp::interval_averager::group_begin(g, n, groups_);
+      const std::size_t end =
+          dsp::interval_averager::group_begin(g + 1, n, groups_);
+      layout.group_end[g] = end;
+      layout.reciprocal[g] = static_cast<std::int32_t>(
+          Fixed::from_double(1.0 / static_cast<double>(end - begin)).raw());
+    }
+  }
+
   std::size_t groups_ = 0;
   bool use_mf_ = false;
   std::vector<Fixed> mf_envelope_;
-  aligned_vector<std::int32_t> mf_envelope_raw_;
   std::vector<Fixed> x_min_;
   std::vector<int> shift_;
+  // Fast-path raw copies of the parameters above, plus the AVG layout for
+  // the matched filter's trace duration.
+  aligned_vector<std::int32_t> mf_envelope_raw_;
+  aligned_vector<std::int32_t> x_min_raw_;
+  frontend_layout layout_;
 };
 
 }  // namespace klinq::hw

@@ -221,7 +221,8 @@ class quantized_network {
   /// Fast-path batched forward over a feature-major raw-register plane:
   /// `in_plane` holds input_dim rows of kBatchTile int32 lanes (shot s of
   /// feature i at in_plane[i * kBatchTile + s]); writes one raw output logit
-  /// per shot to out_raw[0..tile). Bit-identical to forward_logit per lane.
+  /// per shot to out_raw[0..tile). Bit-identical to forward_logit per lane;
+  /// a one-lane tile runs the row kernels (forward_logit_raw).
   void forward_logits_plane(const std::int32_t* in_plane, std::size_t tile,
                             std::int32_t* out_raw,
                             quantized_scratch<Fixed>& scratch) const
@@ -230,6 +231,16 @@ class quantized_network {
     KLINQ_REQUIRE(!layers_.empty(), "quantized_network: empty network");
     KLINQ_REQUIRE(tile <= kBatchTile,
                   "quantized_network: tile exceeds kBatchTile lanes");
+    if (tile == 1) {
+      // One lane: the row kernel vectorizes along the inputs, where the
+      // tile kernel would leave all but one lane idle.
+      scratch.in_raw.resize(input_dim_);
+      for (std::size_t i = 0; i < input_dim_; ++i) {
+        scratch.in_raw[i] = in_plane[i * kBatchTile];
+      }
+      out_raw[0] = forward_logit_raw(scratch.in_raw.data(), scratch);
+      return;
+    }
     const std::size_t width = max_width();
     scratch.a_raw.resize(kBatchTile * width);
     scratch.b_raw.resize(kBatchTile * width);

@@ -1049,9 +1049,10 @@ struct tcp_front_end::impl {
     tickets.erase(it);
     serve::readout_result result;
     try {
-      // The doorbell fired, so the ticket is done: wait() returns
-      // immediately. Consuming under state_mutex_ is what makes the
-      // disconnect path's cancel() race-free (see close_connection).
+      // The doorbell fired, so the ticket is done: wait() returns as soon
+      // as that doorbell call has returned. Consuming under state_mutex_ is
+      // what makes the disconnect path's cancel() race-free (see
+      // close_connection).
       server.wait(serve::ticket{ticket_id}, result);
     } catch (const std::exception&) {
       // A failed request rethrows its shard error; the client gets the

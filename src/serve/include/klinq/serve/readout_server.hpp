@@ -67,7 +67,8 @@
 // wait() never blocks forever, arenas return to the pool, and coalesced
 // batches drain. Persistent failures self-heal: failure_threshold
 // consecutive shard failures on one qubit ask the engine provider to demote
-// the serving version (the registry rolls back to last-known-good). The
+// the serving version (the registry rolls back to last-known-good) before
+// the failing request resolves, so its wait() already sees the rollback. The
 // fault points compiled into this path (klinq/fault/fault.hpp:
 // "serve.submit.lease", "serve.shard.run") let tests and the --chaos demo
 // inject all of it deterministically.
@@ -210,7 +211,8 @@ class readout_server {
   /// Non-blocking submit: nullopt when the server is at max_inflight.
   std::optional<ticket> try_submit(const readout_request& request);
 
-  /// True once the ticket's result is complete (wait() will not block).
+  /// True once the ticket's result is complete and its completion doorbell
+  /// has returned (wait() will not block).
   bool poll(ticket t) const;
 
   /// Blocks until complete and returns the result, consuming the ticket.
@@ -267,6 +269,10 @@ class readout_server {
     std::size_t shots = 0;
     std::size_t remaining_shards = 0;  // guarded by mutex_
     bool done = false;                 // guarded by mutex_
+    /// The completion doorbell has returned (set with `done` when none is
+    /// configured); the ticket is claimable only from then on. Guarded by
+    /// mutex_.
+    bool rung = false;
     std::exception_ptr error;          // first shard failure; rethrown by wait
     stopwatch timer;
     /// Effective deadline (seconds from submit; 0 = none). Immutable after
@@ -423,6 +429,17 @@ class readout_server {
   /// capture. Requires mutex_; `raw` must already be done with its status
   /// and latency resolved.
   void finish_request_locked(slot* raw, engine_kind engine);
+  /// Failure accounting for one thrown shard, run before that shard counts
+  /// as done: bumps the failure counters and, at failure_threshold
+  /// consecutive failures, has the provider demote `version` (outside
+  /// mutex_, which it takes itself).
+  void record_shard_failure(std::size_t qubit, engine_kind engine,
+                            std::uint64_t version);
+  /// Rings the completion doorbell for a request that just resolved, with
+  /// no server lock held, then makes its ticket claimable. No-op on the
+  /// doorbell side when none is configured (the ticket is already
+  /// claimable).
+  void ring_doorbell(slot* raw, ticket t, request_status status);
 
   std::unique_ptr<obs::metric_registry> owned_metrics_;
   obs::metric_registry* metrics_ = nullptr;

@@ -159,13 +159,16 @@ struct shard_event {
 using shard_callback = std::function<void(const shard_event&)>;
 
 /// Invoked exactly once per submitted ticket, the moment the request reaches
-/// its terminal status (the same instant wait() would unblock). Runs on
-/// whatever thread finished the request — a shard executor, or the
-/// submitting thread for zero-shot / inline-executed requests — with no
-/// server lock held. The result is *not* passed: the callback is a doorbell
-/// for an event-driven consumer (the TCP front end's completion thread),
-/// which claims the result with wait()/poll() at its leisure. Must not
-/// throw; may call back into the server except drain()/destructor.
+/// its terminal status. Runs on whatever thread finished the request — a
+/// shard executor, or the submitting thread for zero-shot / inline-executed
+/// requests — with no server lock held. The result is *not* passed: the
+/// callback is a doorbell for an event-driven consumer (the TCP front end's
+/// completion thread), which claims the result with wait()/poll() at its
+/// leisure. The ticket becomes claimable when the callback returns — poll()
+/// turns true and wait() unblocks only after the doorbell has rung — so a
+/// consumer claims it from another thread, never from inside the callback.
+/// Must not throw; may call back into the server except drain()/destructor
+/// and the claim of its own ticket.
 using completion_callback = std::function<void(ticket, request_status)>;
 
 }  // namespace klinq::serve

@@ -373,11 +373,11 @@ readout_server::~readout_server() {
     }
   }
   // outstanding_shards_ hits zero inside a task's locked completion block,
-  // but the task *body* is still running after that: the post-notify demote
-  // branch re-takes mutex_ and touches metrics_, both of which are destroyed
-  // before scheduler_ (reverse member order). Wait for the task bodies
-  // themselves — the scheduler decrements its pending count only after a
-  // body fully returns — so no shard can outlive the members it uses. The
+  // but the task *body* is still running after that: the post-notify
+  // doorbell reads config_ and re-takes mutex_, both destroyed before
+  // scheduler_ (reverse member order). Wait for the task bodies themselves
+  // — the scheduler decrements its pending count only after a body fully
+  // returns — so no shard can outlive the members it uses. The
   // cancel-during-flush TSAN hammer in test_serve.cpp regresses this.
   scheduler_.drain();
 }
@@ -468,6 +468,7 @@ ticket readout_server::submit_locked(const readout_request& request,
   s->remaining_shards =
       shots == 0 ? 0 : (coalesce ? 1 : scheduler_.shard_count(shots));
   s->done = false;
+  s->rung = false;
   s->error = nullptr;
   s->deadline_seconds = request.deadline_seconds;
   if (s->deadline_seconds <= 0.0 && request.lane == lane_class::feedback) {
@@ -526,17 +527,14 @@ ticket readout_server::submit_locked(const readout_request& request,
 
   if (shots == 0) {
     raw->done = true;
+    raw->rung = !config_.on_complete;
     raw->lease = engine_lease{};  // nothing will run; release the snapshot
     raw->result.latency_seconds = raw->timer.seconds();
     const request_status status = raw->result.status;
     finish_request_locked(raw, request.engine);
     completed_.notify_all();
-    if (config_.on_complete) {
-      // The doorbell contract: no server lock held. The slot may be consumed
-      // by a racing wait() the instant we unlock, so only locals from here.
-      lock.unlock();
-      config_.on_complete(t, status);
-    }
+    lock.unlock();
+    ring_doorbell(raw, t, status);
     return t;
   }
 
@@ -653,16 +651,14 @@ void readout_server::execute_range(slot* raw, const readout_request& request,
     cells_locked(request.qubit, request.engine)
         .shard_exec->record(raw->timer.seconds() - exec_begin);
   }
-  // The provider demote (below) takes the provider's own locks, so the
-  // decision is made under mutex_ but the call happens after it releases.
-  bool demote_now = false;
-  std::uint64_t failing_version = 0;
-  // Completion doorbell state, captured under the lock: after notify the
-  // slot may be consumed, so the callback call can only use these locals.
+  const std::size_t qubit = request.qubit;
+  if (error) {
+    record_shard_failure(qubit, request.engine, raw->result.model_version);
+  }
+  // Completion doorbell state, captured under the lock.
   bool completed_now = false;
   std::uint64_t done_id = 0;
   request_status done_status = request_status::ok;
-  const std::size_t qubit = request.qubit;
   {
     const std::lock_guard done_lock(mutex_);
     if (error && !raw->error) raw->error = error;
@@ -671,29 +667,13 @@ void readout_server::execute_range(slot* raw, const readout_request& request,
     if (raw->first_exec_at < 0.0 || exec_begin < raw->first_exec_at) {
       raw->first_exec_at = exec_begin;
     }
-    if (error) {
-      engine_cells& cells = cells_locked(qubit, request.engine);
-      if (cells.shard_failures == nullptr) {
-        cells.shard_failures = &metrics_->get_counter(
-            "klinq_serve_shard_failures_total",
-            {{"qubit", std::to_string(qubit)},
-             {"engine", engine_name(request.engine)}},
-            "Shard executions that threw");
-      }
-      cells.shard_failures->inc();
-      if (++consecutive_failures_[qubit] >= config_.failure_threshold) {
-        // Reset before demoting so the next window needs a full threshold
-        // of fresh failures (whether or not the provider switches).
-        consecutive_failures_[qubit] = 0;
-        demote_now = true;
-        failing_version = raw->result.model_version;
-      }
-    } else if (!skipped_cancelled && !skipped_deadline) {
+    if (!error && !skipped_cancelled && !skipped_deadline) {
       consecutive_failures_[qubit] = 0;
     }
     --outstanding_shards_;
     if (--raw->remaining_shards == 0) {
       raw->done = true;
+      raw->rung = !config_.on_complete;
       raw->lease = engine_lease{};  // last shard done: release the snapshot
       raw->result.latency_seconds = raw->timer.seconds();
       // Resolution precedence: an explicit cancel outranks expiry, expiry
@@ -708,19 +688,55 @@ void readout_server::execute_range(slot* raw, const readout_request& request,
         raw->result.status = request_status::ok;
       }
       completed_now = true;
-      done_id = raw->id;  // the slot may be recycled to a new id after notify
+      done_id = raw->id;
       done_status = raw->result.status;
       finish_request_locked(raw, request.engine);
     }
     if (raw->done || outstanding_shards_ == 0) completed_.notify_all();
   }
-  // After notify the slot may already be consumed — only local state from
-  // here on. The doorbell fires before the demote side-trip: a completion
-  // consumer should not wait on provider locks.
-  if (completed_now && config_.on_complete) {
-    config_.on_complete(ticket{done_id}, done_status);
+  // Another shard of an unfinished request may resolve it — and a waiter
+  // consume the slot — the instant the lock drops, so only a request this
+  // shard resolved may be touched from here on (it stays unclaimable until
+  // its doorbell has rung).
+  if (completed_now) ring_doorbell(raw, ticket{done_id}, done_status);
+}
+
+void readout_server::ring_doorbell(slot* raw, ticket t,
+                                   request_status status) {
+  if (!config_.on_complete) return;
+  config_.on_complete(t, status);
+  {
+    const std::lock_guard lock(mutex_);
+    raw->rung = true;
   }
-  if (demote_now && provider_->demote(qubit, failing_version)) {
+  completed_.notify_all();
+}
+
+void readout_server::record_shard_failure(std::size_t qubit,
+                                          engine_kind engine,
+                                          std::uint64_t version) {
+  bool demote_now = false;
+  {
+    const std::lock_guard lock(mutex_);
+    engine_cells& cells = cells_locked(qubit, engine);
+    if (cells.shard_failures == nullptr) {
+      cells.shard_failures = &metrics_->get_counter(
+          "klinq_serve_shard_failures_total",
+          {{"qubit", std::to_string(qubit)}, {"engine", engine_name(engine)}},
+          "Shard executions that threw");
+    }
+    cells.shard_failures->inc();
+    if (++consecutive_failures_[qubit] >= config_.failure_threshold) {
+      // Reset before demoting so the next window needs a full threshold of
+      // fresh failures (whether or not the provider switches).
+      consecutive_failures_[qubit] = 0;
+      demote_now = true;
+    }
+  }
+  // The provider demote takes the provider's own locks, so it runs after
+  // mutex_ releases — but before the failing shard counts as done, so a
+  // wait() that returns the failed request already sees the rollback.
+  if (demote_now && provider_->demote(qubit, version)) {
     const std::lock_guard lock(mutex_);
     obs::counter*& cell = qubit_cells_[qubit].rollbacks;
     if (cell == nullptr) {
@@ -959,10 +975,13 @@ void readout_server::execute_pack(const pending_member* const* pack,
 
   // Completion accounting for every member, one lock for the whole pack —
   // the per-member body mirrors execute_range exactly.
-  bool demote_now = false;
-  std::uint64_t failing_version = 0;
-  // Doorbell state per completing member, captured under the lock (slots may
-  // be consumed and recycled the instant it releases).
+  for (std::size_t i = 0; i < count; ++i) {
+    if (errors[i]) {
+      record_shard_failure(qubit, kind, pack[i]->s->result.model_version);
+    }
+  }
+  // Doorbell state per completing member, captured under the lock.
+  std::array<slot*, kMaxLanes> done_slots{};
   std::array<std::uint64_t, kMaxLanes> done_ids{};
   std::array<request_status, kMaxLanes> done_statuses{};
   std::size_t done_count = 0;
@@ -976,26 +995,13 @@ void readout_server::execute_pack(const pending_member* const* pack,
       if (raw->first_exec_at < 0.0 || exec_begin[i] < raw->first_exec_at) {
         raw->first_exec_at = exec_begin[i];
       }
-      if (errors[i]) {
-        engine_cells& cells = cells_locked(qubit, kind);
-        if (cells.shard_failures == nullptr) {
-          cells.shard_failures = &metrics_->get_counter(
-              "klinq_serve_shard_failures_total",
-              {{"qubit", std::to_string(qubit)}, {"engine", engine_name(kind)}},
-              "Shard executions that threw");
-        }
-        cells.shard_failures->inc();
-        if (++consecutive_failures_[qubit] >= config_.failure_threshold) {
-          consecutive_failures_[qubit] = 0;
-          demote_now = true;
-          failing_version = raw->result.model_version;
-        }
-      } else if (!skipped_cancelled[i] && !skipped_deadline[i]) {
+      if (!errors[i] && !skipped_cancelled[i] && !skipped_deadline[i]) {
         consecutive_failures_[qubit] = 0;
       }
       --outstanding_shards_;
       if (--raw->remaining_shards == 0) {
         raw->done = true;
+        raw->rung = !config_.on_complete;
         raw->lease = engine_lease{};
         raw->result.latency_seconds = raw->timer.seconds();
         if (raw->cancelled.load(std::memory_order_relaxed)) {
@@ -1007,6 +1013,7 @@ void readout_server::execute_pack(const pending_member* const* pack,
         } else {
           raw->result.status = request_status::ok;
         }
+        done_slots[done_count] = raw;
         done_ids[done_count] = raw->id;
         done_statuses[done_count] = raw->result.status;
         ++done_count;
@@ -1015,21 +1022,8 @@ void readout_server::execute_pack(const pending_member* const* pack,
     }
     completed_.notify_all();
   }
-  if (config_.on_complete) {
-    for (std::size_t i = 0; i < done_count; ++i) {
-      config_.on_complete(ticket{done_ids[i]}, done_statuses[i]);
-    }
-  }
-  if (demote_now && provider_->demote(qubit, failing_version)) {
-    const std::lock_guard lock(mutex_);
-    obs::counter*& cell = qubit_cells_[qubit].rollbacks;
-    if (cell == nullptr) {
-      cell = &metrics_->get_counter(
-          "klinq_serve_rollbacks_total", {{"qubit", std::to_string(qubit)}},
-          "Automatic demote-to-last-known-good rollbacks this server "
-          "triggered");
-    }
-    cell->inc();
+  for (std::size_t i = 0; i < done_count; ++i) {
+    ring_doorbell(done_slots[i], ticket{done_ids[i]}, done_statuses[i]);
   }
 }
 
@@ -1133,7 +1127,7 @@ bool readout_server::poll(ticket t) const {
   const auto it = active_.find(t.id);
   KLINQ_REQUIRE(it != active_.end(),
                 "readout_server: unknown or already-consumed ticket");
-  return it->second->done;
+  return it->second->done && it->second->rung;
 }
 
 readout_result readout_server::wait(ticket t) {
@@ -1160,7 +1154,7 @@ void readout_server::wait(ticket t, readout_result& out) {
   // the ticket; the predicate also wakes on disappearance so that race ends
   // in the throw below rather than in a stale-iterator dereference.
   completed_.wait(lock, [this, raw, &t] {
-    return raw->done || active_.find(t.id) == active_.end();
+    return (raw->done && raw->rung) || active_.find(t.id) == active_.end();
   });
   const auto it = active_.find(t.id);
   KLINQ_REQUIRE(it != active_.end(),
@@ -1210,9 +1204,9 @@ void readout_server::drain() {
     completed_.wait(lock, [this] { return outstanding_shards_ == 0; });
   }
   // Same task-body wait as the destructor: "drained" must mean no shard
-  // task is still inside execute_range/execute_pack (the post-notify demote
-  // tail runs after the shard count reaches zero), not merely that every
-  // ticket is resolved — callers use drain() as a teardown barrier.
+  // task is still inside execute_range/execute_pack (the post-notify
+  // doorbell tail runs after the shard count reaches zero), not merely that
+  // every ticket is resolved — callers use drain() as a teardown barrier.
   scheduler_.drain();
 }
 

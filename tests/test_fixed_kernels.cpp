@@ -13,15 +13,24 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <limits>
+#include <ostream>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "klinq/common/rng.hpp"
 #include "klinq/common/thread_pool.hpp"
+#include "klinq/data/trace_dataset.hpp"
+#include "klinq/dsp/feature_pipeline.hpp"
 #include "klinq/fixed/fixed.hpp"
 #include "klinq/fixed/fixed_kernels.hpp"
+#include "klinq/hw/fixed_discriminator.hpp"
 #include "klinq/hw/quantized_network.hpp"
+#include "klinq/kd/distiller.hpp"
 #include "klinq/nn/init.hpp"
 #include "klinq/nn/network.hpp"
 
@@ -196,26 +205,6 @@ TYPED_TEST(FixedKernelTest, MacRowSaturatesAccumulatorAtExtractionOnly) {
   }
 }
 
-TYPED_TEST(FixedKernelTest, SumRowTiersMatchWideAccumulator) {
-  using Fixed = TypeParam;
-  xoshiro256 rng(17);
-  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
-                              std::size_t{33}, std::size_t{500}}) {
-    const auto values = random_raws<Fixed>(rng, n, true);
-    fixed_accumulator<Fixed> acc;
-    for (const std::int32_t v : values) acc.add_raw(v);
-    const std::int64_t reference = acc.raw_sum();
-    EXPECT_EQ(kernels::scalar64::sum_row(values.data(), n), reference);
-    if (kernels::avx2_available()) {
-      EXPECT_EQ(kernels::avx2::sum_row(values.data(), n), reference);
-    }
-    if (kernels::avx512_available()) {
-      EXPECT_EQ(kernels::avx512::sum_row(values.data(), n), reference);
-    }
-    EXPECT_EQ(kernels::sum_row(values.data(), n), reference);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // mac_tile: every lane of every neuron vs the reference, both activations
 // ---------------------------------------------------------------------------
@@ -287,10 +276,23 @@ TYPED_TEST(FixedKernelTest, QuantizeBlockMatchesFromDouble) {
   using Fixed = TypeParam;
   const auto spec = kernels::spec_of<Fixed>();
   std::vector<float> values;
-  // Tie lattice around zero: (k + 0.5) LSB steps in both signs.
+  // Tie lattice around zero: (k + 0.5) LSB steps in both signs, plus the
+  // floats just either side of each tie.
   for (int k = -64; k <= 64; ++k) {
-    values.push_back(static_cast<float>(
-        (static_cast<double>(k) + 0.5) * Fixed::resolution()));
+    const auto tie = static_cast<float>((static_cast<double>(k) + 0.5) *
+                                        Fixed::resolution());
+    values.push_back(tie);
+    values.push_back(std::nextafter(tie, 0.0f));
+    values.push_back(std::nextafter(tie, 2.0f * tie));
+  }
+  // A strided sweep over every float bit pattern: all exponents, both
+  // signs, subnormals, infinities and NaN payloads.
+  for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << 32);
+       bits += 65521) {
+    const auto pattern = static_cast<std::uint32_t>(bits);
+    float value = 0.0f;
+    std::memcpy(&value, &pattern, sizeof(value));
+    values.push_back(value);
   }
   // Rails and beyond, NaN, signed zero, infinities, tiny magnitudes.
   const double rail = static_cast<double>(Fixed::raw_max) *
@@ -333,6 +335,211 @@ TYPED_TEST(FixedKernelTest, QuantizeBlockMatchesFromDouble) {
   kernels::quantize_block(values.data(), values.size(), dispatched.data(),
                           spec);
   EXPECT_EQ(dispatched, expected);
+}
+
+// ---------------------------------------------------------------------------
+// frontend_tile: every tier vs quantize_trace + extract (the fixed<I,F> path)
+// ---------------------------------------------------------------------------
+
+template <class T>
+void put(std::ostream& out, const T& value) {
+  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+/// A fitted pipeline carrying exactly these calibration constants, built
+/// through its serialized form (header, matched filter, normalizer) because
+/// fitting cannot pin x_min and the shift exponents. An empty envelope
+/// means no matched filter.
+dsp::feature_pipeline pipeline_with(std::size_t groups,
+                                    const std::vector<float>& envelope,
+                                    const std::vector<float>& x_min,
+                                    const std::vector<int>& shift) {
+  std::stringstream blob;
+  blob.write("KLNQFPL1", 8);
+  put(blob, static_cast<std::uint64_t>(groups));
+  put(blob, static_cast<std::uint8_t>(envelope.empty() ? 0 : 1));
+  put(blob, static_cast<std::uint8_t>(dsp::norm_mode::pow2_shift));
+  if (!envelope.empty()) dsp::matched_filter(envelope).save(blob);
+  blob.write("KLNQNRM1", 8);
+  put(blob, static_cast<std::uint64_t>(x_min.size()));
+  put(blob, static_cast<std::uint8_t>(dsp::norm_mode::pow2_shift));
+  blob.write(reinterpret_cast<const char*>(x_min.data()),
+             static_cast<std::streamsize>(x_min.size() * sizeof(float)));
+  const std::vector<float> sigma(x_min.size(), 1.0f);
+  blob.write(reinterpret_cast<const char*>(sigma.data()),
+             static_cast<std::streamsize>(sigma.size() * sizeof(float)));
+  blob.write(reinterpret_cast<const char*>(shift.data()),
+             static_cast<std::streamsize>(shift.size() * sizeof(int)));
+  return dsp::feature_pipeline::load(blob);
+}
+
+/// Front-end geometry under test: N samples per quadrature, G groups.
+struct frontend_case {
+  std::size_t n;
+  std::size_t groups;
+  bool matched_filter;
+};
+
+/// Group lengths 5 (G = 100) and 33/34 (G = 15) at N = 500, lengths that
+/// do not divide N (N = 97, G = 10), and a front end without MF.
+constexpr frontend_case kFrontendCases[] = {
+    {500, 100, true}, {500, 15, true}, {97, 10, true}, {500, 15, false}};
+
+/// NORM exponents cycled over the features: left shifts past the 32-bit
+/// cap, at it and below, zero, and right shifts up to and past the 62-bit
+/// cap (k >= 32 rounds every register to 0 or ±1).
+constexpr int kShiftCycle[] = {-40, -33, -32, -31, -6, -1, 0,
+                               1,   5,   16,  31,  32, 62, 70};
+
+/// Calibration constants that hit the NORM corners: x_min on and past the
+/// rails (the saturating subtract), tiny and ordinary offsets.
+template <class Fixed>
+dsp::feature_pipeline adversarial_pipeline(const frontend_case& shape,
+                                           xoshiro256& rng) {
+  const double rail = static_cast<double>(Fixed::raw_max) *
+                      Fixed::resolution();
+  std::vector<float> envelope;
+  if (shape.matched_filter) {
+    envelope.resize(2 * shape.n);
+    for (std::size_t i = 0; i < envelope.size(); ++i) {
+      envelope[i] = i % 97 == 0   ? static_cast<float>(rail)
+                    : i % 89 == 0 ? static_cast<float>(-rail)
+                                  : static_cast<float>(rng.uniform(-1.5, 1.5));
+    }
+  }
+  const std::size_t width = 2 * shape.groups + (shape.matched_filter ? 1 : 0);
+  std::vector<float> x_min(width);
+  std::vector<int> shift(width);
+  for (std::size_t c = 0; c < width; ++c) {
+    const double pick = rng.uniform(0.0, 1.0);
+    x_min[c] = pick < 0.1   ? static_cast<float>(2.0 * rail)
+               : pick < 0.2 ? static_cast<float>(-2.0 * rail)
+               : pick < 0.3 ? static_cast<float>(Fixed::resolution())
+                            : static_cast<float>(rng.uniform(-2.0, 2.0));
+    shift[c] = kShiftCycle[c % std::size(kShiftCycle)];
+  }
+  return pipeline_with(shape.groups, envelope, x_min, shift);
+}
+
+/// ADC traces that hit the quantizer corners: rails and beyond, ±inf, NaN,
+/// ±0, denormals, half-ULP ties of both signs, and random full-range
+/// values; one lane in eight is pinned to a rail to drive saturating sums.
+template <class Fixed>
+std::vector<float> adversarial_trace(std::size_t n, xoshiro256& rng) {
+  const double lsb = Fixed::resolution();
+  const double rail = static_cast<double>(Fixed::raw_max) * lsb;
+  const float specials[] = {
+      static_cast<float>(rail),
+      static_cast<float>(-rail),
+      static_cast<float>(rail + 1.0),
+      static_cast<float>(-rail - 1.0),
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      0.0f,
+      -0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      1e-30f,
+  };
+  std::vector<float> trace(2 * n);
+  const bool pinned = rng.uniform(0.0, 1.0) < 0.125;
+  for (auto& v : trace) {
+    const double pick = rng.uniform(0.0, 1.0);
+    if (pinned) {
+      v = static_cast<float>(rail);
+    } else if (pick < 0.1) {
+      v = specials[static_cast<std::size_t>(rng.uniform(0.0, 1.0) *
+                                            std::size(specials)) %
+                   std::size(specials)];
+    } else if (pick < 0.3) {
+      // (k + 1/2) LSB: a half-ULP tie, either sign.
+      const double k = std::floor(rng.uniform(-300.0, 300.0));
+      v = static_cast<float>((k + 0.5) * lsb);
+    } else if (pick < 0.4) {
+      v = static_cast<float>(rng.uniform(-2.5 * rail, 2.5 * rail));
+    } else {
+      v = static_cast<float>(rng.uniform(-2.0, 2.0));
+    }
+  }
+  return trace;
+}
+
+/// The fixed<I,F> reference features of one trace: quantize_trace + extract.
+template <class Fixed>
+std::vector<Fixed> reference_features(const hw::fixed_frontend<Fixed>& frontend,
+                                      std::span<const float> trace,
+                                      std::size_t n) {
+  std::vector<Fixed> features(frontend.output_width());
+  frontend.extract(hw::fixed_frontend<Fixed>::quantize_trace(trace), n,
+                   features);
+  return features;
+}
+
+TYPED_TEST(FixedKernelTest, FrontendTileTiersMatchFixedReference) {
+  using Fixed = TypeParam;
+  using tile_fn = void (*)(const float* const*, std::size_t,
+                           const kernels::frontend_spec&, std::int32_t*,
+                           std::size_t, const kernels::mac_spec&) noexcept;
+  struct tier {
+    const char* name;
+    tile_fn run;
+    bool available;
+  };
+  const tier tiers[] = {
+      {"scalar64", kernels::scalar64::frontend_tile, true},
+      {"avx2", kernels::avx2::frontend_tile, kernels::avx2_available()},
+      {"avx512", kernels::avx512::frontend_tile, kernels::avx512_available()},
+      {"dispatched", kernels::frontend_tile, true},
+  };
+  constexpr std::size_t stride = kernels::max_tile_lanes;
+  constexpr std::int32_t kUntouched = 0x5eed;
+  xoshiro256 rng(2027);
+  for (const frontend_case& shape : kFrontendCases) {
+    const hw::fixed_frontend<Fixed> frontend(
+        adversarial_pipeline<Fixed>(shape, rng));
+    const std::size_t width = frontend.output_width();
+    std::vector<std::vector<float>> traces;
+    std::vector<const float*> lanes_in;
+    std::vector<std::vector<Fixed>> expected;
+    for (std::size_t s = 0; s < stride; ++s) {
+      traces.push_back(adversarial_trace<Fixed>(shape.n, rng));
+      lanes_in.push_back(traces.back().data());
+      expected.push_back(reference_features(frontend, traces.back(), shape.n));
+    }
+    hw::frontend_layout spare;
+    const kernels::frontend_spec spec = frontend.kernel_spec(shape.n, spare);
+    for (const tier& t : tiers) {
+      if (!t.available) continue;
+      for (std::size_t lanes = 1; lanes <= stride; ++lanes) {
+        std::vector<std::int32_t> plane(width * stride, kUntouched);
+        t.run(lanes_in.data(), lanes, spec, plane.data(), stride,
+              kernels::spec_of<Fixed>());
+        for (std::size_t c = 0; c < width; ++c) {
+          for (std::size_t s = 0; s < stride; ++s) {
+            const std::int64_t want =
+                s < lanes ? expected[s][c].raw() : kUntouched;
+            ASSERT_EQ(plane[c * stride + s], want)
+                << t.name << " N=" << shape.n << " G=" << shape.groups
+                << " mf=" << shape.matched_filter << " lanes=" << lanes
+                << " feature=" << c << " shot=" << s
+                << " shift=" << spec.shift[c];
+          }
+        }
+      }
+    }
+    // extract_raw (over quantize_trace_raw registers) is the same function.
+    std::vector<std::int32_t> raw(2 * shape.n);
+    std::vector<std::int32_t> row(width);
+    for (std::size_t s = 0; s < 8; ++s) {
+      hw::fixed_frontend<Fixed>::quantize_trace_raw(traces[s], raw);
+      frontend.extract_raw(raw, shape.n, row.data(), 1);
+      for (std::size_t c = 0; c < width; ++c) {
+        ASSERT_EQ(row[c], expected[s][c].raw())
+            << "extract_raw N=" << shape.n << " feature=" << c;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -413,6 +620,66 @@ TYPED_TEST(FixedKernelTest, ForwardLogitsMatchInt128ReferenceUnderPool) {
   });
   for (std::size_t r = 0; r < shots; ++r) {
     ASSERT_EQ(pooled[r].raw(), expected[r].raw()) << "row " << r;
+  }
+}
+
+// Every discriminator entry point runs the fused tile; each must equal the
+// int128 forward of the reference features, for any tile shape.
+TYPED_TEST(FixedKernelTest, DiscriminatorEntryPointsMatchInt128Reference) {
+  using Fixed = TypeParam;
+  xoshiro256 rng(2028);
+  for (const frontend_case& shape : kFrontendCases) {
+    const dsp::feature_pipeline pipeline =
+        adversarial_pipeline<Fixed>(shape, rng);
+    auto float_net = nn::make_mlp(pipeline.output_width(), {16, 8});
+    float_net.initialize(nn::weight_init::he_normal, rng);
+    const hw::fixed_discriminator<Fixed> discriminator(
+        kd::student_model(pipeline, float_net));
+    const std::size_t shots = 129;  // two full tiles + a one-shot tail
+    data::trace_dataset dataset(shots, shape.n);
+    for (std::size_t r = 0; r < shots; ++r) {
+      dataset.append(adversarial_trace<Fixed>(shape.n, rng), r % 2 == 0);
+    }
+    std::vector<std::int64_t> expected(shots);
+    for (std::size_t r = 0; r < shots; ++r) {
+      const std::vector<Fixed> features = reference_features(
+          discriminator.frontend(), dataset.trace(r), shape.n);
+      expected[r] =
+          ref_forward<Fixed>(float_net, discriminator.net(), features).raw();
+    }
+    const auto context = [&](const char* entry) {
+      return std::string(entry) + " N=" + std::to_string(shape.n) +
+             " G=" + std::to_string(shape.groups) +
+             " mf=" + std::to_string(shape.matched_filter);
+    };
+
+    hw::discriminator_scratch<Fixed> scratch;
+    std::vector<Fixed> block(shots);
+    discriminator.logits_block(dataset, 0, shots, block, scratch);
+    std::vector<Fixed> pooled(shots);
+    discriminator.logits(dataset, pooled);
+    for (std::size_t r = 0; r < shots; ++r) {
+      ASSERT_EQ(block[r].raw(), expected[r]) << context("block") << " row "
+                                             << r;
+      ASSERT_EQ(pooled[r].raw(), expected[r]) << context("logits") << " row "
+                                              << r;
+      ASSERT_EQ(discriminator.logit(dataset.trace(r), shape.n, scratch).raw(),
+                expected[r])
+          << context("logit") << " row " << r;
+    }
+
+    for (const std::size_t lanes : {1, 2, 3, 7, 8, 9, 33, 64}) {
+      std::vector<const data::trace_dataset*> sets(lanes, &dataset);
+      std::vector<std::size_t> rows(lanes);
+      for (std::size_t s = 0; s < lanes; ++s) rows[s] = (7 * s + 3) % shots;
+      std::vector<Fixed> packed(lanes);
+      discriminator.logits_lanes(sets.data(), rows.data(), lanes, packed,
+                                 scratch);
+      for (std::size_t s = 0; s < lanes; ++s) {
+        ASSERT_EQ(packed[s].raw(), expected[rows[s]])
+            << context("lanes") << " lanes=" << lanes << " lane " << s;
+      }
+    }
   }
 }
 
