@@ -72,13 +72,7 @@ simd_tier active_float_simd_tier() noexcept {
   return tier;
 }
 
-bool fused_float_path_enabled() noexcept {
-  static const bool fused = [] {
-    const std::string v = env_string("KLINQ_FUSED", "1");
-    return !(v == "0" || v == "false" || v == "off");
-  }();
-  return fused;
-}
+bool fused_float_path_enabled() noexcept { return true; }
 
 const char* simd_tier_name(simd_tier tier) noexcept {
   switch (tier) {

@@ -48,6 +48,14 @@ class batch_extractor {
   void extract_tile(const data::trace_dataset& dataset, std::size_t row_begin,
                     std::size_t lanes, float* plane, std::size_t stride) const;
 
+  /// The same tile over `lanes` arbitrary traces: traces[s] points at lane
+  /// s's flattened [I|Q] trace of 2 * samples_per_quadrature floats. The
+  /// lanes may come from different datasets (the serve lane packer) as long
+  /// as they share the trace duration. The dataset overload forwards here.
+  void extract_tile(const float* const* traces, std::size_t lanes,
+                    std::size_t samples_per_quadrature, float* plane,
+                    std::size_t stride) const;
+
  private:
   const feature_pipeline* pipeline_ = nullptr;
 };

@@ -1,5 +1,7 @@
 #include "klinq/dsp/batch_extractor.hpp"
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "klinq/common/error.hpp"
@@ -56,21 +58,41 @@ void batch_extractor::extract_block(const data::trace_dataset& dataset,
 void batch_extractor::extract_tile(const data::trace_dataset& dataset,
                                    std::size_t row_begin, std::size_t lanes,
                                    float* plane, std::size_t stride) const {
-  KLINQ_REQUIRE(pipeline_ != nullptr, "batch_extractor: default-constructed");
   KLINQ_REQUIRE(row_begin + lanes <= dataset.size(),
                 "batch_extractor: tile rows out of bounds");
+  KLINQ_REQUIRE(nn::kernels::padded_lanes(lanes) <= stride,
+                "batch_extractor: stride too small for padded lanes");
+  // Gathered in kernel-tile chunks so the pointer array stays on the stack;
+  // only the last chunk can be ragged, so only it writes pad lanes.
+  constexpr std::size_t kChunk = nn::kernels::max_tile_lanes;
+  const float* traces[kChunk];
+  for (std::size_t begin = 0; begin < lanes; begin += kChunk) {
+    const std::size_t chunk = std::min(kChunk, lanes - begin);
+    for (std::size_t s = 0; s < chunk; ++s) {
+      traces[s] = dataset.trace(row_begin + begin + s).data();
+    }
+    extract_tile(traces, chunk, dataset.samples_per_quadrature(),
+                 plane + begin, stride);
+  }
+}
+
+void batch_extractor::extract_tile(const float* const* traces,
+                                   std::size_t lanes,
+                                   std::size_t samples_per_quadrature,
+                                   float* plane, std::size_t stride) const {
+  KLINQ_REQUIRE(pipeline_ != nullptr, "batch_extractor: default-constructed");
   const std::size_t padded = nn::kernels::padded_lanes(lanes);
   KLINQ_REQUIRE(padded <= stride,
                 "batch_extractor: stride too small for padded lanes");
   const std::size_t width = pipeline_->output_width();
-  const std::size_t n = dataset.samples_per_quadrature();
+  const std::size_t n = samples_per_quadrature;
   // One contiguous feature row per shot, scattered into the plane lanes:
   // the scatter is width stores against the ~2N-sample extraction, and the
   // per-shot values are exactly those of extract_block.
   thread_local std::vector<float> row;
   row.resize(width);
   for (std::size_t s = 0; s < lanes; ++s) {
-    pipeline_->extract(dataset.trace(row_begin + s), n, row);
+    pipeline_->extract(std::span<const float>(traces[s], 2 * n), n, row);
     for (std::size_t i = 0; i < width; ++i) plane[i * stride + s] = row[i];
   }
   for (std::size_t s = lanes; s < padded; ++s) {

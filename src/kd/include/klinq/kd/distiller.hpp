@@ -46,16 +46,12 @@ struct student_config {
   const nn::network* warm_start = nullptr;
 };
 
-/// Reusable buffers for student_model::predict_batch: the network's panel +
-/// plane arena (which the fused extract→logits path writes tiles into), plus
-/// the feature matrix the unfused (KLINQ_FUSED=0) path materializes. Reusing
-/// one scratch across calls of the same batch size makes evaluation
-/// allocation-free.
+/// Reusable buffers for the batched float path: the network's panel + plane
+/// arena, which the fused extract→logits tiles are written into. Reusing one
+/// scratch across calls makes evaluation allocation-free.
 struct student_scratch {
-  la::matrix_f features;
   nn::inference_scratch net;
 };
-
 
 /// A deployable student: feature pipeline + compact network.
 class student_model {
@@ -101,13 +97,12 @@ class student_model {
                      std::size_t row_end, std::span<float> logits_out,
                      student_scratch& scratch) const;
 
-  /// Lane-packed single-shot evaluation: one row drawn from each of `lanes`
-  /// (possibly distinct) datasets, extracted into one shared feature-major
-  /// panel and pushed through one plane-kernel tile. datasets[s]/rows[s]
-  /// name lane s's trace; logits_out[s] receives its logit. Because the
-  /// plane kernels are lane-invariant, each lane's logit is bitwise equal to
-  /// predict_block() on that row alone — the serve coalescer's cross-request
-  /// lane-pack executor leans on exactly that. Requires
+  /// Lane-packed evaluation: one row drawn from each of `lanes` (possibly
+  /// distinct) datasets of one trace duration, pushed through one tile.
+  /// datasets[s]/rows[s] name lane s's trace; logits_out[s] receives its
+  /// logit. Because the plane kernels are lane-invariant, each lane's logit
+  /// is bitwise equal to predict_block() on that row alone — the serve
+  /// executor's multi-segment call leans on exactly that. Requires
   /// 0 < lanes <= nn::kernels::max_tile_lanes.
   void predict_lanes(const data::trace_dataset* const* datasets,
                      const std::size_t* rows, std::size_t lanes,
@@ -121,6 +116,13 @@ class student_model {
   static student_model load(std::istream& in);
 
  private:
+  /// The float datapath every batched entry point shares: `lanes` traces of
+  /// 2n floats extracted feature-major into the first-layer panel, then the
+  /// plane kernels; writes out[0..lanes). Requires lanes <= max_tile_lanes.
+  /// predict_block and predict_lanes differ only in how they gather traces.
+  void run_tile(const float* const* traces, std::size_t lanes, std::size_t n,
+                float* out, student_scratch& scratch) const;
+
   dsp::feature_pipeline pipeline_;
   nn::network net_;
 };

@@ -5,7 +5,6 @@
 #include <memory>
 #include <ostream>
 
-#include "klinq/common/cpu_dispatch.hpp"
 #include "klinq/common/error.hpp"
 #include "klinq/common/log.hpp"
 #include "klinq/common/stopwatch.hpp"
@@ -42,14 +41,6 @@ void student_model::predict_batch(const data::trace_dataset& dataset,
   KLINQ_REQUIRE(logits_out.size() == dataset.size(),
                 "student_model::predict_batch: one logit per trace required");
   if (dataset.empty()) return;
-  if (!fused_float_path_enabled()) {
-    // Legacy two-phase path (A/B reference): materialize the feature matrix,
-    // then the batched FC — bitwise-identical to the fused path because the
-    // plane kernels are lane-invariant.
-    dsp::batch_extractor(pipeline_).extract(dataset, scratch.features);
-    net_.predict_logits(scratch.features, logits_out, scratch.net);
-    return;
-  }
   constexpr std::size_t kTile = nn::kernels::max_tile_lanes;
   const std::size_t tiles = (dataset.size() + kTile - 1) / kTile;
   if (tiles < 4) {
@@ -87,30 +78,15 @@ void student_model::predict_block(const data::trace_dataset& dataset,
   const std::size_t count = row_end - row_begin;
   KLINQ_REQUIRE(logits_out.size() == count,
                 "student_model::predict_block: one logit per row required");
-  if (count == 0) return;
-  const std::size_t width = pipeline_.output_width();
-  if (!fused_float_path_enabled()) {
-    if (scratch.features.rows() != count || scratch.features.cols() != width) {
-      scratch.features.resize(count, width);
-    }
-    dsp::batch_extractor(pipeline_)
-        .extract_block(dataset, row_begin, row_end, scratch.features);
-    net_.predict_logits(scratch.features, logits_out, scratch.net);
-    return;
-  }
-  // Fused pipeline: each 64-shot tile is extracted feature-major straight
-  // into the first-layer panel and pushed through the plane kernels — the
-  // feature matrix never exists, and the tile stays cache-resident from
-  // extraction through the logit head.
   constexpr std::size_t kTile = nn::kernels::max_tile_lanes;
-  const dsp::batch_extractor extractor(pipeline_);
-  scratch.net.panel.resize(width * kTile);
+  const float* traces[kTile];
   for (std::size_t offset = 0; offset < count; offset += kTile) {
     const std::size_t lanes = std::min(kTile, count - offset);
-    extractor.extract_tile(dataset, row_begin + offset, lanes,
-                           scratch.net.panel.data(), kTile);
-    net_.predict_logits_plane(scratch.net.panel.data(), lanes, kTile,
-                              logits_out.data() + offset, scratch.net);
+    for (std::size_t s = 0; s < lanes; ++s) {
+      traces[s] = dataset.trace(row_begin + offset + s).data();
+    }
+    run_tile(traces, lanes, dataset.samples_per_quadrature(),
+             logits_out.data() + offset, scratch);
   }
 }
 
@@ -123,26 +99,29 @@ void student_model::predict_lanes(const data::trace_dataset* const* datasets,
                 "student_model::predict_lanes: lane count exceeds the tile");
   KLINQ_REQUIRE(logits_out.size() == lanes,
                 "student_model::predict_lanes: one logit per lane required");
-  const std::size_t width = pipeline_.output_width();
-  scratch.net.panel.resize(width * kTile);
-  float* plane = scratch.net.panel.data();
-  // Per-lane extraction + scatter (extract_tile assumes consecutive rows of
-  // one dataset; lanes here come from many). The per-trace numerics are the
-  // extractor's exact per-row pipeline, so each lane's features match the
-  // unpacked path bit for bit.
-  thread_local std::vector<float> row;
-  row.assign(width, 0.0f);
+  const std::size_t n = datasets[0]->samples_per_quadrature();
+  const float* traces[kTile];
   for (std::size_t s = 0; s < lanes; ++s) {
-    const data::trace_dataset& ds = *datasets[s];
-    pipeline_.extract(ds.trace(rows[s]), ds.samples_per_quadrature(), row);
-    for (std::size_t i = 0; i < width; ++i) plane[i * kTile + s] = row[i];
+    KLINQ_REQUIRE(datasets[s]->samples_per_quadrature() == n,
+                  "student_model::predict_lanes: lanes of one tile must share "
+                  "the trace duration");
+    traces[s] = datasets[s]->trace(rows[s]).data();
   }
-  // The plane kernels run whole lane groups; keep the pad lanes finite.
-  const std::size_t padded = nn::kernels::padded_lanes(lanes);
-  for (std::size_t s = lanes; s < padded; ++s) {
-    for (std::size_t i = 0; i < width; ++i) plane[i * kTile + s] = 0.0f;
-  }
-  net_.predict_logits_plane(plane, lanes, kTile, logits_out.data(),
+  run_tile(traces, lanes, n, logits_out.data(), scratch);
+}
+
+void student_model::run_tile(const float* const* traces, std::size_t lanes,
+                             std::size_t n, float* out,
+                             student_scratch& scratch) const {
+  // Fused pipeline: the tile is extracted feature-major straight into the
+  // first-layer panel and pushed through the plane kernels — the feature
+  // matrix never exists, and the tile stays cache-resident from extraction
+  // through the logit head.
+  constexpr std::size_t kTile = nn::kernels::max_tile_lanes;
+  scratch.net.panel.resize(pipeline_.output_width() * kTile);
+  dsp::batch_extractor(pipeline_).extract_tile(traces, lanes, n,
+                                               scratch.net.panel.data(), kTile);
+  net_.predict_logits_plane(scratch.net.panel.data(), lanes, kTile, out,
                             scratch.net);
 }
 

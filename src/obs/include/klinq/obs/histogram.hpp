@@ -1,19 +1,15 @@
 // Log-binned histogram shared by every metric producer in the stack.
 //
-// This generalizes the serving-era `serve::latency_histogram` (which is now
-// an alias for `obs::log_histogram`): values are counted into logarithmic
-// bins (kBinsPerDecade per decade from kMinValue up, one underflow and one
-// overflow slot), so record() is O(1) and the memory footprint is fixed.
-// Two upgrades over the original:
+// Values are counted into logarithmic bins (kBinsPerDecade per decade from
+// kMinValue up, one underflow and one overflow slot), so record() is O(1)
+// and the memory footprint is fixed.
 //
 //  * record() is thread-safe and lock-free — every slot is a relaxed
 //    atomic, min/max are CAS loops — so handles can be hammered from the
 //    submit/shard hot paths without a mutex.
 //  * quantile() interpolates within the covering bin (log-space) and clamps
-//    to the exact observed min/max, replacing the geometric-midpoint answer
-//    (~7% relative error) with one that is exact at the extremes and much
-//    tighter in between. The legacy behavior stays available as
-//    quantile_midpoint() for bit-for-bit comparisons.
+//    to the exact observed min/max, so it is exact at the extremes and well
+//    inside one bin width in between.
 #pragma once
 
 #include <array>
@@ -46,10 +42,6 @@ struct histogram_data {
   /// underflow/overflow bins report the exact min/max. 0 when empty.
   double quantile(double q) const noexcept;
 
-  /// The pre-obs behavior: geometric midpoint of the covering bin,
-  /// kMinValue for the underflow bin. Kept for A/B comparisons.
-  double quantile_midpoint(double q) const noexcept;
-
   /// Accumulate another histogram into this one (for cross-series
   /// aggregation, e.g. a quantile over all qubits of one stage family).
   void merge(const histogram_data& other) noexcept;
@@ -63,7 +55,7 @@ struct histogram_data {
 class log_histogram {
  public:
   static constexpr double kMinValue = histogram_data::kMinValue;
-  /// Serving-era name for the same constant (serve::latency_histogram).
+  /// The same floor, named for latency histograms.
   static constexpr double kMinSeconds = histogram_data::kMinValue;
   static constexpr int kBinsPerDecade = histogram_data::kBinsPerDecade;
   static constexpr int kDecades = histogram_data::kDecades;
@@ -93,10 +85,6 @@ class log_histogram {
 
   /// Interpolated quantile — see histogram_data::quantile.
   double quantile(double q) const noexcept { return data().quantile(q); }
-  /// Legacy geometric-midpoint quantile.
-  double quantile_midpoint(double q) const noexcept {
-    return data().quantile_midpoint(q);
-  }
 
   /// Relaxed-read copy of the current state.
   histogram_data data() const noexcept;

@@ -32,14 +32,25 @@
 //
 // Cross-request lane packing: with `lane_pack_shots` > 0, members of a
 // merged batch whose shot counts fit the budget are additionally grouped —
-// per pinned engine version — into shared 64-lane kernel tiles, so one
-// fc_plane / mac_tile invocation evaluates many requests' shots at once
-// instead of each single-shot member paying a full padded tile alone.
-// Packing changes no observable result: the fixed datapath is exact integer
-// arithmetic and the float plane kernels are lane-invariant, so every
-// member's registers/logits are bit-identical to unpacked execution, and
-// each member still resolves individually (its own status, deadline,
-// cancellation, on_shard event, and stage spans).
+// per pinned engine version and trace duration — into shared 64-lane kernel
+// tiles, so one fc_plane / mac_tile invocation evaluates many requests'
+// shots at once instead of each single-shot member paying a full padded
+// tile alone. Results stay bit-identical to unpacked execution (exact
+// integer datapath, lane-invariant float plane kernels), and each member
+// resolves individually (its own status, deadline, cancellation, on_shard
+// event, and stage spans). Keying on the trace duration keeps members
+// independent: a member that fails alone (say, a trace duration the engine
+// was not built for) never shares a tile with members that would not.
+//
+// Execution model: every scheduler task runs segments — (request, row
+// range) pairs — through one executor. A shard is one segment; a merged
+// batch is cut into packs of segments (a member that does not pack is a
+// pack of one). Per call the executor runs per-segment skip checks
+// (cancellation, deadline, the "serve.shard.run" fault site), one engine
+// call (logits_block / predict_block for one segment, logits_lanes /
+// predict_lanes over the gathered lanes for more), per-segment on_shard
+// events, one locked completion block, and then — with no lock held — the
+// doorbells of the requests it resolved.
 //
 // Steady-state allocation: completed slots and shard arenas are recycled
 // through free-lists. The wait(ticket, result&) overload swaps buffers with
@@ -81,6 +92,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -108,12 +120,13 @@ struct server_config {
   /// batch (see the coalescing note above). 0 disables coalescing.
   std::size_t coalesce_shots = 0;
   /// Cross-request lane packing inside coalesced batches: members with at
-  /// most this many shots are grouped (per pinned engine version) into
-  /// shared kernel tiles of up to kMaxLanePackShots lanes — one plane-kernel
-  /// dispatch for many requests' shots, bit-identical to unpacked execution
-  /// (see the lane-packing note above). 0 disables packing; values above
-  /// kMaxLanePackShots are rejected. Effective only together with
-  /// coalesce_shots > 0, since packing operates on merged batches.
+  /// most this many shots are grouped (per pinned engine version and trace
+  /// duration) into shared kernel tiles of up to kMaxLanePackShots lanes —
+  /// one plane-kernel dispatch for many requests' shots, bit-identical to
+  /// unpacked execution (see the lane-packing note above). 0 disables
+  /// packing; values above kMaxLanePackShots are rejected. Effective only
+  /// together with coalesce_shots > 0, since packing operates on merged
+  /// batches.
   std::size_t lane_pack_shots = 0;
   /// Streaming partial results: invoked from worker threads as each shard of
   /// a request finishes (see shard_callback's contract in request.hpp).
@@ -265,6 +278,8 @@ class readout_server {
 
   struct slot {
     std::uint64_t id = 0;
+    /// The request's borrowed trace block (immutable after submit).
+    const data::trace_dataset* traces = nullptr;
     readout_result result;
     std::size_t shots = 0;
     std::size_t remaining_shards = 0;  // guarded by mutex_
@@ -313,14 +328,16 @@ class readout_server {
     std::uint64_t submit_us = 0;
   };
 
-  /// One small request parked in a coalescing batch: the borrowed request
-  /// plus its already-allocated slot.
-  struct pending_member {
-    readout_request request;
+  /// The executor's unit of work: rows [begin, end) of one request. A shard
+  /// is one segment; a parked coalescing member is one segment covering its
+  /// whole block.
+  struct segment {
     slot* s = nullptr;
+    std::size_t begin = 0;
+    std::size_t end = 0;
   };
   struct pending_batch {
-    std::vector<pending_member> members;
+    std::vector<segment> members;
     std::size_t shots = 0;
   };
 
@@ -330,27 +347,19 @@ class readout_server {
   engine_lease lease_for(const readout_request& request) const;
   ticket submit_locked(const readout_request& request, engine_lease lease,
                        std::unique_lock<std::mutex>& lock);
-  void run_shard(slot& s, const readout_request& request, std::size_t begin,
-                 std::size_t end, shard_arena& arena) const;
-  /// Runs one contiguous row range of a request and performs the shard
-  /// completion accounting (shared by sharded dispatch and merged batches).
-  void execute_range(slot* raw, const readout_request& request,
-                     std::size_t begin, std::size_t end, shard_arena& arena);
+  /// The one executor: runs segments sharing a pinned engine — one shard,
+  /// or a pack of at most kMaxLanePackShots lanes — as described in the
+  /// execution-model note above.
+  void execute(std::span<const segment> segments, shard_arena& arena);
   /// Enqueues a merged batch as one scheduler task. The batch must already
   /// be stamped (stamp_dispatch_locked) — its members left pending_ under
   /// the lock that called this.
   void dispatch_batch(pending_batch batch);
-  /// Runs a merged batch inside its scheduler task: partitions members into
-  /// lane packs (shots <= lane_pack_shots, grouped by pinned engine
-  /// identity, chunked to kMaxLanePackShots lanes) executed by
-  /// execute_pack, with everything else falling through to execute_range.
-  void run_batch(const std::vector<pending_member>& members,
-                 shard_arena& arena);
-  /// Evaluates one lane pack (>= 2 members) through a single shared kernel
-  /// tile, honoring each member's cancellation/deadline/fault individually,
-  /// then runs every member's completion accounting.
-  void execute_pack(const pending_member* const* pack, std::size_t count,
-                    shard_arena& arena);
+  /// Runs a merged batch inside its scheduler task: members with shots <=
+  /// lane_pack_shots are grouped by (pinned engine, trace duration) and cut
+  /// into packs of at most kMaxLanePackShots lanes; everything else runs as
+  /// a lone segment. Each pack is one execute() call.
+  void run_batch(const std::vector<segment>& members, shard_arena& arena);
   /// Stamps the coalesce-hold end on every member. Requires mutex_ — the
   /// batch must be leaving pending_ under the same lock, so no member can
   /// join after the stamp.
@@ -424,11 +433,13 @@ class readout_server {
   engine_cells& cells_locked(std::size_t qubit, engine_kind engine);
   stage_cells& stages_locked(std::size_t qubit, engine_kind engine,
                              request_status status);
-  /// Completion bookkeeping shared by the shard path and the zero-shot
-  /// submit path: status counters, stage/latency records, flight-recorder
-  /// capture. Requires mutex_; `raw` must already be done with its status
-  /// and latency resolved.
-  void finish_request_locked(slot* raw, engine_kind engine);
+  /// Resolves a request whose last segment just completed (or a zero-shot
+  /// request at submit): marks it done, releases its lease, fixes its
+  /// latency and terminal status (cancelled > timed_out > failed > ok), then
+  /// records the status counters, stage/latency histograms, trace spans and
+  /// flight-recorder capture. The only place a terminal status is decided.
+  /// Requires mutex_.
+  void finish_request_locked(slot* raw);
   /// Failure accounting for one thrown shard, run before that shard counts
   /// as done: bumps the failure counters and, at failure_threshold
   /// consecutive failures, has the provider demote `version` (outside

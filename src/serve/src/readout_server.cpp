@@ -178,6 +178,17 @@ obs::log_histogram& stage_histogram(obs::metric_registry& metrics,
       "execution");
 }
 
+/// Hard decisions for rows [begin, end) from the engine-native outputs —
+/// the FPGA's sign-bit readout on either datapath.
+void decide_states(readout_result& result, std::size_t begin,
+                   std::size_t end) {
+  for (std::size_t r = begin; r < end; ++r) {
+    result.states[r] = result.engine == engine_kind::fixed_q16
+                           ? (result.registers[r].sign_bit() ? 0 : 1)
+                           : (result.logits[r] >= 0.0f ? 1 : 0);
+  }
+}
+
 }  // namespace
 
 void readout_server::init_metrics() {
@@ -275,8 +286,24 @@ readout_server::stage_cells& readout_server::stages_locked(
   return st;
 }
 
-void readout_server::finish_request_locked(slot* raw, engine_kind engine) {
+void readout_server::finish_request_locked(slot* raw) {
+  raw->done = true;
+  raw->rung = !config_.on_complete;
+  raw->lease = engine_lease{};  // nothing runs any more: release the snapshot
+  raw->result.latency_seconds = raw->timer.seconds();
+  // Resolution precedence: an explicit cancel outranks expiry, expiry
+  // outranks a shard error (the caller asked for the answer's absence).
+  if (raw->cancelled.load(std::memory_order_relaxed)) {
+    raw->result.status = request_status::cancelled;
+  } else if (raw->deadline_expired) {
+    raw->result.status = request_status::timed_out;
+  } else if (raw->error) {
+    raw->result.status = request_status::failed;
+  } else {
+    raw->result.status = request_status::ok;
+  }
   const std::size_t qubit = raw->result.qubit;
+  const engine_kind engine = raw->result.engine;
   const request_status status = raw->result.status;
   engine_cells& cells = cells_locked(qubit, engine);
   obs::counter*& completed =
@@ -463,6 +490,7 @@ ticket readout_server::submit_locked(const readout_request& request,
     s = std::make_unique<slot>();
   }
   s->id = next_ticket_++;
+  s->traces = request.traces;
   s->shots = shots;
   // A coalesced member executes as one range inside the merged task.
   s->remaining_shards =
@@ -526,12 +554,8 @@ ticket readout_server::submit_locked(const readout_request& request,
   outstanding_shards_ += raw->remaining_shards;
 
   if (shots == 0) {
-    raw->done = true;
-    raw->rung = !config_.on_complete;
-    raw->lease = engine_lease{};  // nothing will run; release the snapshot
-    raw->result.latency_seconds = raw->timer.seconds();
+    finish_request_locked(raw);
     const request_status status = raw->result.status;
-    finish_request_locked(raw, request.engine);
     completed_.notify_all();
     lock.unlock();
     ring_doorbell(raw, t, status);
@@ -542,7 +566,7 @@ ticket readout_server::submit_locked(const readout_request& request,
     const std::uint64_t key =
         request.qubit * 2 + static_cast<std::uint64_t>(request.engine);
     pending_batch& batch = pending_[key];
-    batch.members.push_back({request, raw});
+    batch.members.push_back({raw, 0, shots});
     batch.shots += shots;
     requests_coalesced_cell_->inc();
     std::vector<pending_batch> ready;
@@ -571,12 +595,11 @@ ticket readout_server::submit_locked(const readout_request& request,
   // complete early — remaining_shards is already final.
   raw->dispatch_at = raw->timer.seconds();
   lock.unlock();
-  const readout_request req = request;
   scheduler_.dispatch(
       shots,
-      [this, req, raw](std::size_t begin, std::size_t end,
-                       shard_arena& arena) {
-        execute_range(raw, req, begin, end, arena);
+      [this, raw](std::size_t begin, std::size_t end, shard_arena& arena) {
+        const segment shard{raw, begin, end};
+        execute({&shard, 1}, arena);
       },
       /*urgent=*/request.lane == lane_class::feedback);
   return t;
@@ -598,107 +621,215 @@ void readout_server::set_on_complete(completion_callback callback) {
   config_.on_complete = std::move(callback);
 }
 
-void readout_server::execute_range(slot* raw, const readout_request& request,
-                                   std::size_t begin, std::size_t end,
-                                   shard_arena& arena) {
-  const double exec_begin = raw->timer.seconds();
-  std::exception_ptr error;
-  bool event_fired = false;
-  // Expiry/cancellation are checked at shard start: a skipped shard costs
-  // nothing but still runs the completion accounting below, which is what
-  // guarantees an expired or cancelled ticket resolves instead of blocking
-  // wait() forever.
-  bool skipped_cancelled = raw->cancelled.load(std::memory_order_relaxed);
-  bool skipped_deadline =
-      !skipped_cancelled && raw->deadline_seconds > 0.0 &&
-      raw->timer.seconds() >= raw->deadline_seconds;
-  if (!skipped_cancelled && !skipped_deadline) {
+void readout_server::execute(std::span<const segment> segments,
+                             shard_arena& arena) {
+  const std::size_t count = segments.size();
+  // Every segment shares the qubit, the engine kind and the pinned engine;
+  // a pack holds at most kMaxLanePackShots lanes, so at most that many
+  // segments.
+  constexpr std::size_t kMaxLanes = server_config::kMaxLanePackShots;
+  const slot& lead = *segments[0].s;
+  const engine_kind kind = lead.result.engine;
+  const std::size_t qubit = lead.result.qubit;
+  const qubit_engine& engine = lead.lease.engine;
+  struct outcome {
+    double exec_begin = 0.0;
+    bool skipped = false;  // cancelled or expired before it started
+    bool expired = false;
+    bool ran = false;      // took part in the engine call
+    bool event_fired = false;
+    // Captured under the lock when this call completed the request: the
+    // doorbell after the unlock must not read the slot.
+    bool resolved = false;
+    ticket done{};
+    request_status status = request_status::ok;
+    std::exception_ptr error;
+  };
+  std::array<outcome, kMaxLanes> outcomes;
+
+  // 1. Skip checks, per segment. A skipped segment costs nothing but still
+  // runs the completion accounting below, which is what guarantees an
+  // expired or cancelled ticket resolves instead of blocking wait() forever.
+  // Exec timestamps come off each request's own submit timer, so its stage
+  // spans keep tiling its latency.
+  std::size_t runnable = 0;
+  std::size_t lanes = 0;
+  std::size_t last_runnable = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const slot& s = *segments[i].s;
+    outcome& o = outcomes[i];
+    o.exec_begin = s.timer.seconds();
+    const bool cancelled = s.cancelled.load(std::memory_order_relaxed);
+    o.expired = !cancelled && s.deadline_seconds > 0.0 &&
+                o.exec_begin >= s.deadline_seconds;
+    o.skipped = cancelled || o.expired;
+    if (o.skipped) continue;
     try {
       if (fault::trigger("serve.shard.run") == fault::action::drop) {
         throw fault::injected_fault(
             "injected fault at serve.shard.run: shard result dropped");
       }
-      run_shard(*raw, request, begin, end, arena);
-      if (config_.on_shard) {
-        // Safe to read the slot's buffers without the mutex: this shard is
-        // not yet accounted, so the request cannot complete (and its ticket
-        // cannot be consumed) until the callback returns.
-        shard_event event;
-        event.request = ticket{raw->id};
-        event.qubit = request.qubit;
-        event.engine = request.engine;
-        event.model_version = raw->result.model_version;
-        event.row_begin = begin;
-        event.row_end = end;
-        const std::size_t count = end - begin;
-        event.states = std::span<const std::uint8_t>(raw->result.states)
-                           .subspan(begin, count);
-        if (request.engine == engine_kind::fixed_q16) {
-          event.registers = std::span<const fx::q16_16>(raw->result.registers)
-                                .subspan(begin, count);
-        } else {
-          event.logits =
-              std::span<const float>(raw->result.logits).subspan(begin, count);
+    } catch (...) {
+      o.error = std::current_exception();
+      continue;
+    }
+    o.ran = true;
+    ++runnable;
+    lanes += segments[i].end - segments[i].begin;
+    last_runnable = i;
+  }
+
+  // 2. One engine call. A lone runnable segment runs the block entry point
+  // straight into its slot's buffers; two or more share one kernel tile
+  // through the lanes entry point, gathered and scattered lane by lane.
+  // Both are bit-identical per shot, so packing never changes a result. A
+  // throw fails exactly the segments that shared the call.
+  if (runnable > 0) {
+    try {
+      const segment& one = segments[last_runnable];
+      const std::size_t one_rows = one.end - one.begin;
+      std::array<const data::trace_dataset*, kMaxLanes> datasets;
+      std::array<std::size_t, kMaxLanes> rows;
+      std::size_t lane = 0;
+      for (std::size_t i = 0; i < count && runnable > 1; ++i) {
+        if (!outcomes[i].ran) continue;
+        for (std::size_t r = segments[i].begin; r < segments[i].end; ++r) {
+          datasets[lane] = segments[i].s->traces;
+          rows[lane++] = r;
         }
-        config_.on_shard(event);
-        event_fired = true;
+      }
+      const auto scatter = [&](const auto* out, auto readout_result::*buffer) {
+        lane = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+          if (!outcomes[i].ran) continue;
+          auto& values = segments[i].s->result.*buffer;
+          for (std::size_t r = segments[i].begin; r < segments[i].end; ++r) {
+            values[r] = out[lane++];
+          }
+        }
+      };
+      if (kind == engine_kind::fixed_q16) {
+        if (runnable == 1) {
+          engine.hardware->logits_block(
+              *one.s->traces, one.begin, one.end,
+              std::span(one.s->result.registers).subspan(one.begin, one_rows),
+              arena.fixed);
+        } else {
+          std::array<fx::q16_16, kMaxLanes> out;
+          engine.hardware->logits_lanes(datasets.data(), rows.data(), lanes,
+                                        std::span(out.data(), lanes),
+                                        arena.fixed);
+          scatter(out.data(), &readout_result::registers);
+        }
+      } else if (runnable == 1) {
+        engine.student->predict_block(
+            *one.s->traces, one.begin, one.end,
+            std::span(one.s->result.logits).subspan(one.begin, one_rows),
+            arena.student);
+      } else {
+        std::array<float, kMaxLanes> out;
+        engine.student->predict_lanes(datasets.data(), rows.data(), lanes,
+                                      std::span(out.data(), lanes),
+                                      arena.student);
+        scatter(out.data(), &readout_result::logits);
+      }
+      for (std::size_t i = 0; i < count; ++i) {
+        if (!outcomes[i].ran) continue;
+        decide_states(segments[i].s->result, segments[i].begin,
+                      segments[i].end);
       }
     } catch (...) {
-      error = std::current_exception();
-    }
-    // Per-shard execution time (ran or threw — either way it held a worker
-    // for this long). Lock-free: the cell is a pre-resolved histogram.
-    cells_locked(request.qubit, request.engine)
-        .shard_exec->record(raw->timer.seconds() - exec_begin);
-  }
-  const std::size_t qubit = request.qubit;
-  if (error) {
-    record_shard_failure(qubit, request.engine, raw->result.model_version);
-  }
-  // Completion doorbell state, captured under the lock.
-  bool completed_now = false;
-  std::uint64_t done_id = 0;
-  request_status done_status = request_status::ok;
-  {
-    const std::lock_guard done_lock(mutex_);
-    if (error && !raw->error) raw->error = error;
-    if (event_fired) shard_events_cell_->inc();
-    if (skipped_deadline) raw->deadline_expired = true;
-    if (raw->first_exec_at < 0.0 || exec_begin < raw->first_exec_at) {
-      raw->first_exec_at = exec_begin;
-    }
-    if (!error && !skipped_cancelled && !skipped_deadline) {
-      consecutive_failures_[qubit] = 0;
-    }
-    --outstanding_shards_;
-    if (--raw->remaining_shards == 0) {
-      raw->done = true;
-      raw->rung = !config_.on_complete;
-      raw->lease = engine_lease{};  // last shard done: release the snapshot
-      raw->result.latency_seconds = raw->timer.seconds();
-      // Resolution precedence: an explicit cancel outranks expiry, expiry
-      // outranks a shard error (the caller asked for the answer's absence).
-      if (raw->cancelled.load(std::memory_order_relaxed)) {
-        raw->result.status = request_status::cancelled;
-      } else if (raw->deadline_expired) {
-        raw->result.status = request_status::timed_out;
-      } else if (raw->error) {
-        raw->result.status = request_status::failed;
-      } else {
-        raw->result.status = request_status::ok;
+      const std::exception_ptr error = std::current_exception();
+      for (std::size_t i = 0; i < count; ++i) {
+        if (outcomes[i].ran) outcomes[i].error = error;
       }
-      completed_now = true;
-      done_id = raw->id;
-      done_status = raw->result.status;
-      finish_request_locked(raw, request.engine);
     }
-    if (raw->done || outstanding_shards_ == 0) completed_.notify_all();
   }
-  // Another shard of an unfinished request may resolve it — and a waiter
-  // consume the slot — the instant the lock drops, so only a request this
-  // shard resolved may be touched from here on (it stays unclaimable until
-  // its doorbell has rung).
-  if (completed_now) ring_doorbell(raw, ticket{done_id}, done_status);
+
+  // 3. Per-segment on_shard events and shard_exec records. The slot buffers
+  // are read without the mutex: this segment is not yet accounted, so its
+  // request cannot complete (nor its ticket be consumed) until the callback
+  // returns. A callback throw fails only its own segment.
+  obs::log_histogram& shard_exec = *cells_locked(qubit, kind).shard_exec;
+  for (std::size_t i = 0; i < count; ++i) {
+    outcome& o = outcomes[i];
+    if (o.skipped) continue;
+    if (o.ran && !o.error && config_.on_shard) {
+      const segment& seg = segments[i];
+      const readout_result& result = seg.s->result;
+      const std::size_t b = seg.begin;
+      const std::size_t n = seg.end - seg.begin;
+      shard_event event{.request = ticket{seg.s->id},
+                        .qubit = qubit,
+                        .engine = kind,
+                        .model_version = result.model_version,
+                        .row_begin = seg.begin,
+                        .row_end = seg.end,
+                        .states = std::span(result.states).subspan(b, n)};
+      if (kind == engine_kind::fixed_q16) {
+        event.registers = std::span(result.registers).subspan(b, n);
+      } else {
+        event.logits = std::span(result.logits).subspan(b, n);
+      }
+      try {
+        config_.on_shard(event);
+        o.event_fired = true;
+      } catch (...) {
+        o.error = std::current_exception();
+      }
+    }
+    // Ran or threw, the segment held a worker this long.
+    shard_exec.record(segments[i].s->timer.seconds() - o.exec_begin);
+  }
+  if (count > 1 && runnable > 0) {
+    // Pack accounting: the members that shared the tile, the tile itself,
+    // and how full it ran.
+    packed_batches_cell_->inc();
+    packed_requests_cell_->inc(runnable);
+    lane_occupancy_->record(static_cast<double>(lanes));
+  }
+
+  // 4. Failure accounting (before a failing segment counts as done — see
+  // record_shard_failure), then one locked completion block.
+  for (std::size_t i = 0; i < count; ++i) {
+    if (outcomes[i].error) {
+      record_shard_failure(qubit, kind, segments[i].s->result.model_version);
+    }
+  }
+  {
+    const std::lock_guard lock(mutex_);
+    bool resolved_any = false;
+    for (std::size_t i = 0; i < count; ++i) {
+      slot* raw = segments[i].s;
+      outcome& o = outcomes[i];
+      if (o.error && !raw->error) raw->error = o.error;
+      if (o.event_fired) shard_events_cell_->inc();
+      if (o.expired) raw->deadline_expired = true;
+      if (raw->first_exec_at < 0.0 || o.exec_begin < raw->first_exec_at) {
+        raw->first_exec_at = o.exec_begin;
+      }
+      if (o.ran && !o.error) consecutive_failures_[qubit] = 0;
+      --outstanding_shards_;
+      if (--raw->remaining_shards == 0) {
+        finish_request_locked(raw);
+        o.resolved = true;
+        o.done = ticket{raw->id};
+        o.status = raw->result.status;
+        resolved_any = true;
+      }
+    }
+    if (resolved_any || outstanding_shards_ == 0) completed_.notify_all();
+  }
+
+  // 5. Doorbells, no lock held. Any slot may be consumed (and recycled) the
+  // instant the lock drops — with no doorbell configured a resolved one is
+  // claimable at once — so nothing is read from the slots here; only the
+  // doorbell, which keeps its own request unclaimable until it has rung,
+  // touches one.
+  for (std::size_t i = 0; i < count; ++i) {
+    const outcome& o = outcomes[i];
+    if (o.resolved) ring_doorbell(segments[i].s, o.done, o.status);
+  }
 }
 
 void readout_server::ring_doorbell(slot* raw, ticket t,
@@ -755,275 +886,65 @@ void readout_server::stamp_dispatch_locked(pending_batch& batch) {
   // the same lock and the batch is gone from pending_), so a late joiner can
   // never carry a dispatch_at predating its own submit — hold and queue
   // spans stay non-negative by construction.
-  for (const pending_member& member : batch.members) {
+  for (const segment& member : batch.members) {
     member.s->dispatch_at = member.s->timer.seconds();
   }
 }
 
 void readout_server::dispatch_batch(pending_batch batch) {
-  // One scheduler task, one arena: every member runs back to back (lane
-  // packs first, then the serial remainder — see run_batch), completing
-  // (and waking waiters) individually.
+  // One scheduler task, one arena: every member runs back to back (alone or
+  // in a lane pack — see run_batch), completing (and waking waiters)
+  // individually.
   scheduler_.dispatch_one(
       [this, members = std::move(batch.members)](shard_arena& arena) {
         run_batch(members, arena);
       });
 }
 
-void readout_server::run_batch(const std::vector<pending_member>& members,
+void readout_server::run_batch(const std::vector<segment>& members,
                                shard_arena& arena) {
-  const std::size_t pack_shots = config_.lane_pack_shots;
-  if (pack_shots == 0 || members.size() < 2) {
-    for (const pending_member& member : members) {
-      execute_range(member.s, member.request, 0,
-                    member.request.traces->size(), arena);
-    }
-    return;
-  }
-  // Partition in submission order: members whose shots fit the pack budget
-  // group by pinned engine identity (the leased pointer — two hot-swap
-  // versions of one qubit's model must never share a tile), the rest run
-  // the ordinary serial range. The batch key already fixes (qubit, engine
-  // kind), so identity is the only split left.
-  std::vector<const pending_member*> serial;
-  std::vector<std::pair<const void*, std::vector<const pending_member*>>>
-      groups;
-  for (const pending_member& member : members) {
-    const std::size_t shots = member.request.traces->size();
-    if (shots == 0 || shots > pack_shots) {
-      serial.push_back(&member);
+  // Members whose shots fit the pack budget are grouped by what a shared
+  // tile needs in common: the pinned engine (two hot-swap versions of one
+  // qubit's model never share a tile) and the trace duration (so a member of
+  // another duration can only fail its own pack). The batch key already
+  // fixes (qubit, engine kind). Every other member runs as a lone segment,
+  // in submission order.
+  struct pack_group {
+    qubit_engine engine;
+    std::size_t samples = 0;
+    std::vector<segment> members;
+  };
+  std::vector<pack_group> groups;
+  for (const segment& member : members) {
+    if (member.end - member.begin > config_.lane_pack_shots) {
+      execute({&member, 1}, arena);
       continue;
     }
-    const void* identity =
-        member.request.engine == engine_kind::fixed_q16
-            ? static_cast<const void*>(member.s->lease.engine.hardware)
-            : static_cast<const void*>(member.s->lease.engine.student);
-    auto it = std::find_if(
-        groups.begin(), groups.end(),
-        [identity](const auto& group) { return group.first == identity; });
-    if (it == groups.end()) {
-      groups.emplace_back(identity, std::vector<const pending_member*>{});
-      it = std::prev(groups.end());
-    }
-    it->second.push_back(&member);
+    const qubit_engine& engine = member.s->lease.engine;
+    const std::size_t samples = member.s->traces->samples_per_quadrature();
+    auto it = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
+      return g.engine.student == engine.student &&
+             g.engine.hardware == engine.hardware && g.samples == samples;
+    });
+    if (it == groups.end()) it = groups.insert(it, {engine, samples, {}});
+    it->members.push_back(member);
   }
-  for (auto& [identity, group] : groups) {
-    // Greedy chunking into tiles of at most kMaxLanePackShots total lanes. A
-    // chunk of one (nothing else fit) gains nothing from the packed path and
-    // runs the plain range instead.
+  // Greedy cut of each group into packs of at most kMaxLanePackShots lanes;
+  // a pack of one runs the block entry point like any lone segment.
+  for (const pack_group& group : groups) {
+    const std::vector<segment>& g = group.members;
     std::size_t begin = 0;
-    while (begin < group.size()) {
+    while (begin < g.size()) {
       std::size_t lanes = 0;
       std::size_t end = begin;
-      while (end < group.size()) {
-        const std::size_t shots = group[end]->request.traces->size();
-        if (lanes + shots > server_config::kMaxLanePackShots) break;
-        lanes += shots;
+      while (end < g.size() && lanes + (g[end].end - g[end].begin) <=
+                                   server_config::kMaxLanePackShots) {
+        lanes += g[end].end - g[end].begin;
         ++end;
       }
-      if (end - begin >= 2) {
-        execute_pack(group.data() + begin, end - begin, arena);
-      } else {
-        const pending_member* member = group[begin];
-        execute_range(member->s, member->request, 0,
-                      member->request.traces->size(), arena);
-      }
+      execute(std::span(g).subspan(begin, end - begin), arena);
       begin = end;
     }
-  }
-  for (const pending_member* member : serial) {
-    execute_range(member->s, member->request, 0,
-                  member->request.traces->size(), arena);
-  }
-}
-
-void readout_server::execute_pack(const pending_member* const* pack,
-                                  std::size_t count, shard_arena& arena) {
-  constexpr std::size_t kMaxLanes = server_config::kMaxLanePackShots;
-  constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
-  // The batch key fixes (qubit, engine kind) and run_batch grouped by pinned
-  // engine identity, so one leased engine evaluates every lane.
-  const engine_kind kind = pack[0]->request.engine;
-  const std::size_t qubit = pack[0]->request.qubit;
-  const qubit_engine& engine = pack[0]->s->lease.engine;
-
-  // Per-member shard preamble, mirroring execute_range: exec timestamps come
-  // off each member's own submit timer (stage spans must keep tiling that
-  // member's latency), and cancellation/expiry/fault checks run per member —
-  // a skipped or faulted member is excluded from the shared tile but still
-  // reaches the completion accounting below.
-  std::array<double, kMaxLanes> exec_begin{};
-  std::array<bool, kMaxLanes> skipped_cancelled{};
-  std::array<bool, kMaxLanes> skipped_deadline{};
-  std::array<bool, kMaxLanes> event_fired{};
-  std::array<std::exception_ptr, kMaxLanes> errors{};
-  std::array<std::size_t, kMaxLanes> lane_offset{};
-  std::array<const data::trace_dataset*, kMaxLanes> datasets{};
-  std::array<std::size_t, kMaxLanes> rows{};
-  std::size_t lanes = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    slot* raw = pack[i]->s;
-    exec_begin[i] = raw->timer.seconds();
-    lane_offset[i] = kNoLane;
-    skipped_cancelled[i] = raw->cancelled.load(std::memory_order_relaxed);
-    skipped_deadline[i] = !skipped_cancelled[i] && raw->deadline_seconds > 0.0 &&
-                          raw->timer.seconds() >= raw->deadline_seconds;
-    if (skipped_cancelled[i] || skipped_deadline[i]) continue;
-    try {
-      if (fault::trigger("serve.shard.run") == fault::action::drop) {
-        throw fault::injected_fault(
-            "injected fault at serve.shard.run: shard result dropped");
-      }
-    } catch (...) {
-      errors[i] = std::current_exception();
-      continue;
-    }
-    const data::trace_dataset& ds = *pack[i]->request.traces;
-    lane_offset[i] = lanes;
-    for (std::size_t r = 0; r < ds.size(); ++r) {
-      datasets[lanes] = &ds;
-      rows[lanes] = r;
-      ++lanes;
-    }
-  }
-
-  // One shared kernel tile for every runnable member's shots. A kernel
-  // exception fails all of them (they shared the execution), never the
-  // members already skipped or faulted out above.
-  if (lanes > 0) {
-    std::exception_ptr kernel_error;
-    try {
-      if (kind == engine_kind::fixed_q16) {
-        std::array<fx::q16_16, kMaxLanes> out;
-        engine.hardware->logits_lanes(datasets.data(), rows.data(), lanes,
-                                      std::span<fx::q16_16>(out.data(), lanes),
-                                      arena.fixed);
-        for (std::size_t i = 0; i < count; ++i) {
-          if (lane_offset[i] == kNoLane) continue;
-          slot* raw = pack[i]->s;
-          for (std::size_t r = 0; r < raw->shots; ++r) {
-            raw->result.registers[r] = out[lane_offset[i] + r];
-            raw->result.states[r] = raw->result.registers[r].sign_bit() ? 0 : 1;
-          }
-        }
-      } else {
-        std::array<float, kMaxLanes> out;
-        engine.student->predict_lanes(datasets.data(), rows.data(), lanes,
-                                      std::span<float>(out.data(), lanes),
-                                      arena.student);
-        for (std::size_t i = 0; i < count; ++i) {
-          if (lane_offset[i] == kNoLane) continue;
-          slot* raw = pack[i]->s;
-          for (std::size_t r = 0; r < raw->shots; ++r) {
-            raw->result.logits[r] = out[lane_offset[i] + r];
-            raw->result.states[r] = (raw->result.logits[r] >= 0.0f) ? 1 : 0;
-          }
-        }
-      }
-    } catch (...) {
-      kernel_error = std::current_exception();
-    }
-    if (kernel_error) {
-      for (std::size_t i = 0; i < count; ++i) {
-        if (lane_offset[i] != kNoLane) errors[i] = kernel_error;
-      }
-    } else if (config_.on_shard) {
-      // Per-member events, each covering the member's whole range — same
-      // contract as a coalesced member's single event. A callback throw
-      // fails only the member whose event it was.
-      for (std::size_t i = 0; i < count; ++i) {
-        if (lane_offset[i] == kNoLane) continue;
-        slot* raw = pack[i]->s;
-        shard_event event;
-        event.request = ticket{raw->id};
-        event.qubit = qubit;
-        event.engine = kind;
-        event.model_version = raw->result.model_version;
-        event.row_begin = 0;
-        event.row_end = raw->shots;
-        event.states = std::span<const std::uint8_t>(raw->result.states);
-        if (kind == engine_kind::fixed_q16) {
-          event.registers = std::span<const fx::q16_16>(raw->result.registers);
-        } else {
-          event.logits = std::span<const float>(raw->result.logits);
-        }
-        try {
-          config_.on_shard(event);
-          event_fired[i] = true;
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      }
-    }
-    // Pack accounting (lock-free cells): members that shared the tile, the
-    // tile itself, and how full it ran.
-    packed_batches_cell_->inc();
-    lane_occupancy_->record(static_cast<double>(lanes));
-    for (std::size_t i = 0; i < count; ++i) {
-      if (lane_offset[i] != kNoLane) packed_requests_cell_->inc();
-    }
-  }
-  // Per-member shard time: the pack's span measured on each member's own
-  // timer (ran or threw — either way the worker was held).
-  {
-    obs::log_histogram* shard_exec = cells_locked(qubit, kind).shard_exec;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (skipped_cancelled[i] || skipped_deadline[i]) continue;
-      shard_exec->record(pack[i]->s->timer.seconds() - exec_begin[i]);
-    }
-  }
-
-  // Completion accounting for every member, one lock for the whole pack —
-  // the per-member body mirrors execute_range exactly.
-  for (std::size_t i = 0; i < count; ++i) {
-    if (errors[i]) {
-      record_shard_failure(qubit, kind, pack[i]->s->result.model_version);
-    }
-  }
-  // Doorbell state per completing member, captured under the lock.
-  std::array<slot*, kMaxLanes> done_slots{};
-  std::array<std::uint64_t, kMaxLanes> done_ids{};
-  std::array<request_status, kMaxLanes> done_statuses{};
-  std::size_t done_count = 0;
-  {
-    const std::lock_guard done_lock(mutex_);
-    for (std::size_t i = 0; i < count; ++i) {
-      slot* raw = pack[i]->s;
-      if (errors[i] && !raw->error) raw->error = errors[i];
-      if (event_fired[i]) shard_events_cell_->inc();
-      if (skipped_deadline[i]) raw->deadline_expired = true;
-      if (raw->first_exec_at < 0.0 || exec_begin[i] < raw->first_exec_at) {
-        raw->first_exec_at = exec_begin[i];
-      }
-      if (!errors[i] && !skipped_cancelled[i] && !skipped_deadline[i]) {
-        consecutive_failures_[qubit] = 0;
-      }
-      --outstanding_shards_;
-      if (--raw->remaining_shards == 0) {
-        raw->done = true;
-        raw->rung = !config_.on_complete;
-        raw->lease = engine_lease{};
-        raw->result.latency_seconds = raw->timer.seconds();
-        if (raw->cancelled.load(std::memory_order_relaxed)) {
-          raw->result.status = request_status::cancelled;
-        } else if (raw->deadline_expired) {
-          raw->result.status = request_status::timed_out;
-        } else if (raw->error) {
-          raw->result.status = request_status::failed;
-        } else {
-          raw->result.status = request_status::ok;
-        }
-        done_slots[done_count] = raw;
-        done_ids[done_count] = raw->id;
-        done_statuses[done_count] = raw->result.status;
-        ++done_count;
-        finish_request_locked(raw, kind);
-      }
-    }
-    completed_.notify_all();
-  }
-  for (std::size_t i = 0; i < done_count; ++i) {
-    ring_doorbell(done_slots[i], ticket{done_ids[i]}, done_statuses[i]);
   }
 }
 
@@ -1059,7 +980,7 @@ void readout_server::flush_pending_for(ticket t) {
   {
     const std::lock_guard lock(mutex_);
     for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      for (const pending_member& member : it->second.members) {
+      for (const segment& member : it->second.members) {
         if (member.s->id == t.id) {
           stamp_dispatch_locked(it->second);
           ready = std::move(it->second);
@@ -1072,34 +993,6 @@ void readout_server::flush_pending_for(ticket t) {
     }
   }
   if (ready) dispatch_batch(std::move(*ready));
-}
-
-void readout_server::run_shard(slot& s, const readout_request& request,
-                               std::size_t begin, std::size_t end,
-                               shard_arena& arena) const {
-  // The slot's lease — not a fresh provider acquisition — so every shard of
-  // a request runs on the version pinned at submit time.
-  const qubit_engine& engine = s.lease.engine;
-  const std::size_t count = end - begin;
-  // Shards write disjoint row ranges of the slot's buffers: no locking on
-  // the data plane.
-  if (request.engine == engine_kind::fixed_q16) {
-    const auto registers =
-        std::span<fx::q16_16>(s.result.registers).subspan(begin, count);
-    engine.hardware->logits_block(*request.traces, begin, end, registers,
-                                  arena.fixed);
-    for (std::size_t r = begin; r < end; ++r) {
-      s.result.states[r] = s.result.registers[r].sign_bit() ? 0 : 1;
-    }
-  } else {
-    const auto logits =
-        std::span<float>(s.result.logits).subspan(begin, count);
-    engine.student->predict_block(*request.traces, begin, end, logits,
-                                  arena.student);
-    for (std::size_t r = begin; r < end; ++r) {
-      s.result.states[r] = (s.result.logits[r] >= 0.0f) ? 1 : 0;
-    }
-  }
 }
 
 bool readout_server::cancel(ticket t) {
@@ -1203,10 +1096,10 @@ void readout_server::drain() {
     std::unique_lock lock(mutex_);
     completed_.wait(lock, [this] { return outstanding_shards_ == 0; });
   }
-  // Same task-body wait as the destructor: "drained" must mean no shard
-  // task is still inside execute_range/execute_pack (the post-notify
-  // doorbell tail runs after the shard count reaches zero), not merely that
-  // every ticket is resolved — callers use drain() as a teardown barrier.
+  // Same task-body wait as the destructor: "drained" must mean no scheduler
+  // task is still inside execute() (its doorbell tail runs after the shard
+  // count reaches zero), not merely that every ticket is resolved — callers
+  // use drain() as a teardown barrier.
   scheduler_.drain();
 }
 

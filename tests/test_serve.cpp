@@ -657,6 +657,141 @@ TEST(ServeLanePacking, MixedDeadlineAndCancelInsideOnePack) {
   EXPECT_EQ(stats.timed_out_requests, 1u);
 }
 
+// Checks one packed member's result against the serial per-block path on
+// qubit 0: registers (fixed) or logits (float), and the decisions.
+void expect_member_exact(const serve::readout_result& result,
+                         const data::trace_dataset& block,
+                         serve::engine_kind engine) {
+  auto& f = fixture();
+  ASSERT_EQ(result.status, serve::request_status::ok);
+  ASSERT_EQ(result.states.size(), block.size());
+  if (engine == serve::engine_kind::fixed_q16) {
+    std::vector<q16_16> registers(block.size());
+    f.hardware[0].logits(block, registers);
+    for (std::size_t r = 0; r < block.size(); ++r) {
+      ASSERT_EQ(result.registers[r].raw(), registers[r].raw()) << "row " << r;
+      ASSERT_EQ(result.states[r] != 0, !registers[r].sign_bit());
+    }
+  } else {
+    const std::vector<float> logits = f.students[0].predict_batch(block);
+    for (std::size_t r = 0; r < block.size(); ++r) {
+      ASSERT_EQ(result.logits[r], logits[r]) << "row " << r;
+      ASSERT_EQ(result.states[r] != 0, logits[r] >= 0.0f);
+    }
+  }
+}
+
+// Requests stay independent inside a merged batch: a member whose trace is
+// one sample short (a duration the engine was not built for) must fail on
+// its own and never take its pack-mates down with it. Packs are keyed on the
+// trace duration, so the short member never shares their tile.
+TEST(ServeLanePacking, MismatchedDurationMemberDoesNotFailPackMates) {
+  auto& f = fixture();
+  const auto blocks = split_blocks(f.data[0].test, 1);
+  const data::trace_dataset shorter =
+      blocks[3].sliced_to_samples(blocks[3].samples_per_quadrature() - 1);
+  for (const serve::engine_kind engine :
+       {serve::engine_kind::fixed_q16, serve::engine_kind::float_student}) {
+    // shard_shots 4096: nothing auto-dispatches, so all four members park
+    // in one batch until wait() flushes it.
+    serve::readout_server server(
+        f.engines(), {.shard_shots = 4096,
+                      .coalesce_shots = 8,
+                      .lane_pack_shots = 8});
+    const serve::ticket good0 = server.submit({0, &blocks[0], engine});
+    const serve::ticket bad = server.submit({0, &shorter, engine});
+    const serve::ticket good1 = server.submit({0, &blocks[1], engine});
+    const serve::ticket good2 = server.submit({0, &blocks[2], engine});
+    expect_member_exact(server.wait(good0), blocks[0], engine);
+    expect_member_exact(server.wait(good1), blocks[1], engine);
+    expect_member_exact(server.wait(good2), blocks[2], engine);
+    EXPECT_THROW(server.wait(bad), klinq::error);
+    const serve::server_stats stats = server.stats();
+    EXPECT_EQ(stats.failed_requests, 1u) << engine_name(engine);
+    EXPECT_EQ(stats.shard_failures, 1u) << engine_name(engine);
+    EXPECT_EQ(stats.packed_batches, 1u) << engine_name(engine);
+    EXPECT_EQ(stats.packed_requests, 3u) << engine_name(engine);
+    stats.validate();
+  }
+}
+
+// Per-member failure isolation inside one pack: an on_shard callback that
+// throws for one member and a serve.shard.run fault that fires for another
+// fail exactly those two; their pack-mates stay ok and bit-exact, and the
+// counters account for every member.
+TEST(ServeLanePacking, CallbackThrowAndShardFaultFailOnlyTheirMembers) {
+  auto& f = fixture();
+  constexpr std::size_t kMembers = 6;
+  constexpr std::size_t kFaulted = 1;  // serve.shard.run fires for this one
+  constexpr std::size_t kThrower = 4;  // its on_shard callback throws
+  const auto blocks = split_blocks(f.data[0].test, 1);
+  // The fault site's firing stream is a pure function of (seed, invocation
+  // index) and re-arming restarts it. Probe seeds until the first kMembers
+  // draws fire only at kFaulted — the executor reaches the site once per
+  // member, in submission order — then re-arm for the real run.
+  const auto arm_fault_for_member = [] {
+    fault::fault_spec spec;
+    spec.mode = fault::fault_mode::throw_error;
+    spec.probability = 0.25;
+    for (spec.seed = 1; spec.seed < 100000; ++spec.seed) {
+      fault::arm("serve.shard.run", spec);
+      bool fires_only_at_target = true;
+      for (std::size_t i = 0; i < kMembers; ++i) {
+        bool fired = false;
+        try {
+          fault::trigger("serve.shard.run");
+        } catch (const fault::injected_fault&) {
+          fired = true;
+        }
+        fires_only_at_target = fires_only_at_target && fired == (i == kFaulted);
+      }
+      if (fires_only_at_target) {
+        fault::arm("serve.shard.run", spec);
+        return true;
+      }
+    }
+    return false;
+  };
+  for (const serve::engine_kind engine :
+       {serve::engine_kind::fixed_q16, serve::engine_kind::float_student}) {
+    std::atomic<std::uint64_t> thrower_id{0};
+    serve::readout_server server(
+        f.engines(),
+        {.shard_shots = 4096,
+         .coalesce_shots = 8,
+         .lane_pack_shots = 8,
+         .on_shard = [&thrower_id](const serve::shard_event& event) {
+           if (event.request.id == thrower_id.load()) {
+             throw numeric_error("consumer exploded");
+           }
+         }});
+    std::vector<serve::ticket> tickets;
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      tickets.push_back(server.submit({0, &blocks[i], engine}));
+    }
+    thrower_id = tickets[kThrower].id;
+    ASSERT_TRUE(arm_fault_for_member());
+    // wait() flushes the one parked batch: all six members share one pack.
+    EXPECT_THROW(server.wait(tickets[kFaulted]), fault::injected_fault);
+    fault::disarm_all();
+    EXPECT_THROW(server.wait(tickets[kThrower]), numeric_error);
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      if (i == kFaulted || i == kThrower) continue;
+      expect_member_exact(server.wait(tickets[i]), blocks[i], engine);
+    }
+    const serve::server_stats stats = server.stats();
+    EXPECT_EQ(stats.failed_requests, 2u) << engine_name(engine);
+    EXPECT_EQ(stats.shard_failures, 2u) << engine_name(engine);
+    // The faulted member never reached the tile; the thrower did.
+    EXPECT_EQ(stats.packed_batches, 1u) << engine_name(engine);
+    EXPECT_EQ(stats.packed_requests, kMembers - 1) << engine_name(engine);
+    // Events reached on_shard for every member but the faulted one; the
+    // thrower's does not count as delivered.
+    EXPECT_EQ(stats.shard_events, kMembers - 2) << engine_name(engine);
+    stats.validate();
+  }
+}
+
 // lane_pack_shots defaults to 0: coalesced batches run member-by-member and
 // no packed tiles are counted.
 TEST(ServeLanePacking, DisabledByDefault) {
@@ -930,7 +1065,7 @@ TEST(ThreadPool, OnWorkerFlagVisibleInsideTasks) {
 // --- telemetry -------------------------------------------------------------
 
 TEST(Telemetry, HistogramQuantilesLandInTheRightBin) {
-  serve::latency_histogram histogram;
+  obs::log_histogram histogram;
   EXPECT_EQ(histogram.quantile(0.5), 0.0);  // empty
   for (int i = 0; i < 90; ++i) histogram.record(1e-3);
   for (int i = 0; i < 10; ++i) histogram.record(1.0);
@@ -945,13 +1080,13 @@ TEST(Telemetry, HistogramQuantilesLandInTheRightBin) {
 }
 
 TEST(Telemetry, HistogramHandlesExtremes) {
-  serve::latency_histogram histogram;
+  obs::log_histogram histogram;
   histogram.record(0.0);      // underflow bin
   histogram.record(1e-12);    // below floor
   histogram.record(1e6);      // overflow bin
   EXPECT_EQ(histogram.count(), 3u);
   EXPECT_GT(histogram.quantile(1.0), 10.0);   // max lands in overflow
-  EXPECT_LE(histogram.quantile(0.0), serve::latency_histogram::kMinSeconds);
+  EXPECT_LE(histogram.quantile(0.0), obs::log_histogram::kMinSeconds);
 }
 
 // --- failure model: config, deadlines, cancellation ------------------------
