@@ -5,15 +5,15 @@
 // hostile clients, partial frames, disconnects mid-request, and saturation
 // are treated as the normal case.
 //
-// Threading (three threads, all owned by the front end):
+// Threading (two threads, both owned by the front end):
 //
-//   acceptor   blocks in accept(); enforces the connection cap (over-cap
-//              connections get a best-effort busy frame and are closed
-//              immediately) and hands accepted fds to the poll loop.
-//   poll loop  owns every connection socket: readiness-driven reads/writes
-//              (non-blocking fds, TCP_NODELAY), frame parsing, admission
-//              control, submission into the server, idle/slow-loris
-//              enforcement, and eviction. No other thread touches a socket.
+//   poll loop  a klinq::reactor thread. Accepts, enforcing the connection
+//              cap (over-cap connections, and every new one while draining,
+//              get a best-effort busy frame and are closed), and owns every
+//              connection socket: readiness-driven reads/writes, frame
+//              parsing, admission control, submission into the server,
+//              idle/slow-loris enforcement, and eviction. No other thread
+//              touches a socket.
 //   completion drains the doorbell queue fed by the server's on_complete
 //              callback: claims each finished ticket with wait(), encodes
 //              the response into the owning connection's write queue (or
@@ -179,10 +179,11 @@ struct connection_info {
 class tcp_front_end {
  public:
   /// Binds, listens, installs the server's completion doorbell, and starts
-  /// the three service threads. The server is borrowed and must outlive the
-  /// front end; the front end must be its only ticket consumer while
-  /// running (it installs server.set_on_complete, so the server must have
-  /// no unresolved tickets and no other on_complete user).
+  /// the two service threads (invalid_argument_error on a bad config or
+  /// host, io_error when the port cannot be bound). The server is borrowed
+  /// and must outlive the front end; the front end must be its only ticket
+  /// consumer while running (it installs server.set_on_complete, so the
+  /// server must have no unresolved tickets and no other on_complete user).
   tcp_front_end(serve::readout_server& server, front_end_config config = {});
 
   /// shutdown() if still serving.

@@ -1,10 +1,5 @@
 #include "klinq/net/tcp_front_end.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -22,12 +17,14 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "klinq/common/error.hpp"
 #include "klinq/common/log.hpp"
+#include "klinq/common/reactor.hpp"
 #include "klinq/common/stopwatch.hpp"
 #include "klinq/fault/fault.hpp"
 #include "klinq/net/frame.hpp"
@@ -103,27 +100,25 @@ void front_end_stats::validate() const {
 
 namespace {
 
-std::uint64_t parse_env_u64(const char* name, const char* value) {
+/// Reads env var `name` into `field` when set (std::size_t or seconds).
+template <typename T>
+void read_env(const char* name, T& field) {
+  const char* value = std::getenv(name);
+  if (value == nullptr) return;
   try {
     std::size_t consumed = 0;
-    const std::uint64_t parsed = std::stoull(value, &consumed);
+    if constexpr (std::is_floating_point_v<T>) {
+      field = std::stod(value, &consumed);
+    } else {
+      field = static_cast<T>(std::stoull(value, &consumed));
+    }
     KLINQ_REQUIRE(consumed == std::strlen(value), "trailing garbage");
-    return parsed;
   } catch (const std::exception&) {
     throw invalid_argument_error(std::string(name) + ": '" + value +
-                                 "' is not a valid unsigned integer");
-  }
-}
-
-double parse_env_seconds(const char* name, const char* value) {
-  try {
-    std::size_t consumed = 0;
-    const double parsed = std::stod(value, &consumed);
-    KLINQ_REQUIRE(consumed == std::strlen(value), "trailing garbage");
-    return parsed;
-  } catch (const std::exception&) {
-    throw invalid_argument_error(std::string(name) + ": '" + value +
-                                 "' is not a valid number of seconds");
+                                 "' is not a valid " +
+                                 (std::is_floating_point_v<T>
+                                      ? "number of seconds"
+                                      : "unsigned integer"));
   }
 }
 
@@ -135,61 +130,26 @@ front_end_config front_end_config::from_env() {
 
 front_end_config front_end_config::from_env(front_end_config base) {
   if (const char* listen = std::getenv("KLINQ_LISTEN")) {
-    const std::string spec(listen);
-    const std::size_t colon = spec.rfind(':');
-    std::string port_text = spec;
-    if (colon != std::string::npos) {
-      const std::string host = spec.substr(0, colon);
-      if (!host.empty()) base.bind_address = host;
-      port_text = spec.substr(colon + 1);
-    }
-    const std::uint64_t port =
-        parse_env_u64("KLINQ_LISTEN", port_text.c_str());
-    KLINQ_REQUIRE(port <= 65535, "KLINQ_LISTEN: port out of range");
-    base.port = static_cast<std::uint16_t>(port);
+    host_port bind = parse_host_port("KLINQ_LISTEN", listen, base.bind_address);
+    base.bind_address = std::move(bind.host);
+    base.port = bind.port;
   }
-  const auto read_size = [](const char* name, std::size_t& field) {
-    if (const char* value = std::getenv(name)) {
-      field = static_cast<std::size_t>(parse_env_u64(name, value));
-    }
-  };
-  const auto read_seconds = [](const char* name, double& field) {
-    if (const char* value = std::getenv(name)) {
-      field = parse_env_seconds(name, value);
-    }
-  };
-  read_size("KLINQ_NET_MAX_CONNECTIONS", base.max_connections);
-  read_size("KLINQ_NET_MAX_INFLIGHT", base.max_inflight);
-  read_size("KLINQ_NET_MAX_INFLIGHT_PER_CONNECTION",
-            base.max_inflight_per_connection);
-  read_size("KLINQ_NET_MAX_INFLIGHT_BYTES_PER_CONNECTION",
-            base.max_inflight_bytes_per_connection);
-  read_size("KLINQ_NET_FEEDBACK_RESERVE", base.feedback_reserve);
-  read_seconds("KLINQ_NET_READ_IDLE_SECONDS", base.read_idle_seconds);
-  read_seconds("KLINQ_NET_WRITE_STALL_SECONDS", base.write_stall_seconds);
-  read_size("KLINQ_NET_MAX_WRITE_QUEUE_BYTES", base.max_write_queue_bytes);
-  read_size("KLINQ_NET_MAX_FRAME_PAYLOAD", base.max_frame_payload);
-  read_seconds("KLINQ_NET_DRAIN_TIMEOUT_SECONDS", base.drain_timeout_seconds);
+  read_env("KLINQ_NET_MAX_CONNECTIONS", base.max_connections);
+  read_env("KLINQ_NET_MAX_INFLIGHT", base.max_inflight);
+  read_env("KLINQ_NET_MAX_INFLIGHT_PER_CONNECTION",
+           base.max_inflight_per_connection);
+  read_env("KLINQ_NET_MAX_INFLIGHT_BYTES_PER_CONNECTION",
+           base.max_inflight_bytes_per_connection);
+  read_env("KLINQ_NET_FEEDBACK_RESERVE", base.feedback_reserve);
+  read_env("KLINQ_NET_READ_IDLE_SECONDS", base.read_idle_seconds);
+  read_env("KLINQ_NET_WRITE_STALL_SECONDS", base.write_stall_seconds);
+  read_env("KLINQ_NET_MAX_WRITE_QUEUE_BYTES", base.max_write_queue_bytes);
+  read_env("KLINQ_NET_MAX_FRAME_PAYLOAD", base.max_frame_payload);
+  read_env("KLINQ_NET_DRAIN_TIMEOUT_SECONDS", base.drain_timeout_seconds);
   return base;
 }
 
-namespace {
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  KLINQ_REQUIRE(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-                "net: fcntl(O_NONBLOCK) failed");
-}
-
-void set_nodelay(int fd) {
-  const int one = 1;
-  // Best effort — latency tuning, not correctness.
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-}  // namespace
-
-struct tcp_front_end::impl {
+struct tcp_front_end::impl : reactor::owner {
   // One client connection, owned by the poll loop; queue/counter fields are
   // shared with the completion thread under state_mutex_.
   struct connection {
@@ -254,10 +214,6 @@ struct tcp_front_end::impl {
   std::unique_ptr<obs::metric_registry> owned_metrics;
   obs::metric_registry* metrics = nullptr;
 
-  int listen_fd = -1;
-  std::uint16_t bound_port = 0;
-  int wake_pipe[2] = {-1, -1};  // poll-loop wakeup (acceptor + completion)
-
   stopwatch clock;
   std::atomic<bool> draining{false};
   std::atomic<bool> stopping{false};
@@ -267,7 +223,6 @@ struct tcp_front_end::impl {
   mutable std::mutex state_mutex;
   std::uint64_t next_conn_id = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<connection>> conns;
-  std::vector<int> pending_accepts;
   std::unordered_map<std::uint64_t, inflight_ticket> tickets;
 
   // --- completion_mutex_ domain ------------------------------------------
@@ -275,9 +230,11 @@ struct tcp_front_end::impl {
   std::condition_variable completion_ready;
   std::deque<std::uint64_t> done_queue;
 
-  std::thread acceptor_thread;
-  std::thread poll_thread;
   std::thread completion_thread;
+
+  // --- poll thread only ---------------------------------------------------
+  std::vector<std::uint64_t> pfd_conn_ids;  // collect() order
+  std::vector<std::uint8_t> read_chunk = std::vector<std::uint8_t>(64 << 10);
 
   // --- metric cells (pre-resolved; recording is lock-free) ---------------
   obs::counter* accepted_cell = nullptr;
@@ -301,9 +258,12 @@ struct tcp_front_end::impl {
   std::array<obs::log_histogram*, 2> lane_seconds{};  // by lane_class
   std::uint64_t collector_id = 0;
 
+  reactor loop;  // last: its poll thread uses every member above
+
   explicit impl(serve::readout_server& srv, front_end_config cfg)
-      : server(srv), config(std::move(cfg)) {
-    config.validate();
+      : server(srv),
+        config(std::move(cfg)),
+        loop("net", config.bind_address, config.port, config.listen_backlog) {
     init_metrics();
     // Pull collector: every snapshot() re-derives the two gauges from the
     // authoritative maps, so the scraped families cannot drift from the
@@ -311,16 +271,13 @@ struct tcp_front_end::impl {
     // so taking state_mutex here is cycle-free).
     collector_id = metrics->add_collector([this] {
       const std::lock_guard lock(state_mutex);
-      open_conns_cell->set(
-          static_cast<double>(conns.size() + pending_accepts.size()));
+      open_conns_cell->set(static_cast<double>(conns.size()));
       inflight_cell->set(static_cast<double>(tickets.size()));
     });
-    open_sockets();
     server.set_on_complete(
         [this](serve::ticket t, serve::request_status) { doorbell(t.id); });
-    acceptor_thread = std::thread([this] { acceptor_loop(); });
-    poll_thread = std::thread([this] { poll_loop(); });
     completion_thread = std::thread([this] { completion_loop(); });
+    loop.start(*this, config.poll_interval_seconds);
   }
 
   void init_metrics() {
@@ -385,40 +342,6 @@ struct tcp_front_end::impl {
     }
   }
 
-  void open_sockets() {
-    KLINQ_REQUIRE(::pipe(wake_pipe) == 0, "net: pipe() failed");
-    set_nonblocking(wake_pipe[0]);
-    set_nonblocking(wake_pipe[1]);
-    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    KLINQ_REQUIRE(listen_fd >= 0, "net: socket() failed");
-    const int one = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(config.port);
-    KLINQ_REQUIRE(
-        ::inet_pton(AF_INET, config.bind_address.c_str(), &addr.sin_addr) == 1,
-        "net: bind_address is not a valid IPv4 address");
-    KLINQ_REQUIRE(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                         sizeof(addr)) == 0,
-                  "net: bind() failed (port in use?)");
-    KLINQ_REQUIRE(::listen(listen_fd, config.listen_backlog) == 0,
-                  "net: listen() failed");
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    KLINQ_REQUIRE(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound),
-                                &len) == 0,
-                  "net: getsockname() failed");
-    bound_port = ntohs(bound.sin_port);
-  }
-
-  ~impl() {
-    // shutdown() already ran (the wrapper guarantees it); release the fds.
-    if (listen_fd >= 0) ::close(listen_fd);
-    if (wake_pipe[0] >= 0) ::close(wake_pipe[0]);
-    if (wake_pipe[1] >= 0) ::close(wake_pipe[1]);
-  }
-
   // --- doorbell (runs on shard executors / submitting threads) -----------
 
   void doorbell(std::uint64_t ticket_id) {
@@ -427,12 +350,6 @@ struct tcp_front_end::impl {
       done_queue.push_back(ticket_id);
     }
     completion_ready.notify_one();
-  }
-
-  void wake_poll() {
-    const std::uint8_t byte = 1;
-    // The pipe being full is fine: a queued byte already guarantees a wake.
-    [[maybe_unused]] const ssize_t n = ::write(wake_pipe[1], &byte, 1);
   }
 
   // --- wire tracing -------------------------------------------------------
@@ -462,135 +379,71 @@ struct tcp_front_end::impl {
     ring.record(std::move(span));
   }
 
-  // --- acceptor -----------------------------------------------------------
+  // --- reactor hooks (poll thread) ---------------------------------------
 
-  void acceptor_loop() {
-    while (!stopping.load(std::memory_order_relaxed)) {
-      pollfd pfd{listen_fd, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, 200);
-      if (ready <= 0) continue;
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) continue;
-      try {
-        fault::trigger("net.accept");
-      } catch (const std::exception&) {
-        ::close(fd);  // a flaky accept: the connection never registers
-        rejected_cell->inc();
-        continue;
-      }
-      bool over_cap = false;
-      {
-        const std::lock_guard lock(state_mutex);
-        over_cap = conns.size() + pending_accepts.size() >=
-                       config.max_connections ||
-                   draining.load(std::memory_order_relaxed);
-        if (!over_cap) {
-          pending_accepts.push_back(fd);
-          accepted_cell->inc();
-          open_conns_cell->set(
-              static_cast<double>(conns.size() + pending_accepts.size()));
-        }
-      }
-      if (over_cap) {
-        // Best-effort shed before closing: the fd is still blocking, and the
-        // frame is tiny.
-        const std::vector<std::uint8_t> busy = encode_busy(
-            0, draining.load(std::memory_order_relaxed)
-                   ? busy_reason::draining
-                   : busy_reason::server_busy);
-        ::send(fd, busy.data(), busy.size(), MSG_NOSIGNAL);
-        ::close(fd);
-        rejected_cell->inc();
-        shed_cells[static_cast<std::size_t>(
-                       draining.load(std::memory_order_relaxed)
-                           ? busy_reason::draining
-                           : busy_reason::server_busy)]
-            ->inc();
-        continue;
-      }
-      wake_poll();
-    }
-  }
-
-  // --- poll loop ----------------------------------------------------------
-
-  void poll_loop() {
-    std::vector<pollfd> pfds;
-    std::vector<std::uint64_t> pfd_conn_ids;
-    std::vector<std::uint8_t> read_chunk(std::size_t{64} << 10);
-    for (;;) {
-      // shutdown() set stopping only after its bounded flush window, so
-      // breaking immediately cannot strand a flushable write queue.
-      if (stopping.load(std::memory_order_relaxed)) break;
-      pfds.clear();
-      pfd_conn_ids.clear();
-      pfds.push_back({wake_pipe[0], POLLIN, 0});
-      {
-        const std::lock_guard lock(state_mutex);
-        adopt_pending_locked();
-        for (auto& [id, conn] : conns) {
-          short events = conn->closing ? 0 : POLLIN;
-          if (!conn->write_queue.empty()) events |= POLLOUT;
-          if (events == 0) events = POLLERR;  // still watch for hangup
-          pfds.push_back({conn->fd, events, 0});
-          pfd_conn_ids.push_back(id);
-        }
-      }
-      const int timeout_ms = std::max(
-          1, static_cast<int>(config.poll_interval_seconds * 1000.0));
-      ::poll(pfds.data(), pfds.size(), timeout_ms);
-      if (pfds[0].revents & POLLIN) {
-        std::uint8_t drain_buf[64];
-        while (::read(wake_pipe[0], drain_buf, sizeof(drain_buf)) > 0) {
-        }
-      }
-      for (std::size_t i = 1; i < pfds.size(); ++i) {
-        const std::uint64_t conn_id = pfd_conn_ids[i - 1];
-        const short revents = pfds[i].revents;
-        if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
-          close_connection(conn_id, /*evicted=*/false);
-          continue;
-        }
-        if (revents & POLLIN) handle_readable(conn_id, read_chunk);
-        if (revents & POLLOUT) handle_writable(conn_id);
-      }
-      enforce_deadlines();
-      finish_closing_connections();
-    }
-    // Exiting: close every remaining socket (tickets were reconciled by
-    // shutdown before stopping was set).
+  void collect(std::vector<pollfd>& fds) override {
+    pfd_conn_ids.clear();
     const std::lock_guard lock(state_mutex);
     for (auto& [id, conn] : conns) {
-      ::close(conn->fd);
-      closed_cell->inc();
-      if (conn->evict) evicted_cell->inc();
+      short events = conn->closing ? 0 : POLLIN;
+      if (!conn->write_queue.empty()) events |= POLLOUT;
+      if (events == 0) events = POLLERR;  // still watch for hangup
+      fds.push_back({conn->fd, events, 0});
+      pfd_conn_ids.push_back(id);
     }
-    conns.clear();
-    for (int fd : pending_accepts) {
-      ::close(fd);
-      closed_cell->inc();
-    }
-    pending_accepts.clear();
-    open_conns_cell->set(0.0);
   }
 
-  void adopt_pending_locked() {
-    for (int fd : pending_accepts) {
-      set_nonblocking(fd);
-      set_nodelay(fd);
-      auto conn = std::make_unique<connection>();
-      conn->fd = fd;
-      conn->id = next_conn_id++;
-      conn->last_read_at = clock.seconds();
-      conn->last_write_progress_at = conn->last_read_at;
-      conn->accepted_at = conn->last_read_at;
-      conns.emplace(conn->id, std::move(conn));
+  void on_ready(std::span<const pollfd> fds) override {
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      const std::uint64_t conn_id = pfd_conn_ids[i];
+      const short revents = fds[i].revents;
+      if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
+        close_connection(conn_id, /*evicted=*/false);
+        continue;
+      }
+      if (revents & POLLIN) handle_readable(conn_id);
+      if (revents & POLLOUT) handle_writable(conn_id);
     }
-    pending_accepts.clear();
   }
 
-  void handle_readable(std::uint64_t conn_id,
-                       std::vector<std::uint8_t>& chunk) {
+  /// Registers the connection, or sheds it with a best-effort busy frame
+  /// (over the connection cap, or draining) and closes it.
+  void on_accept(int fd) override {
+    try {
+      fault::trigger("net.accept");
+    } catch (const std::exception&) {
+      ::close(fd);  // a flaky accept: the connection never registers
+      rejected_cell->inc();
+      return;
+    }
+    busy_reason reason = busy_reason::draining;
+    {
+      const std::lock_guard lock(state_mutex);
+      if (!draining.load(std::memory_order_relaxed)) {
+        if (conns.size() < config.max_connections) {
+          auto conn = std::make_unique<connection>();
+          conn->fd = fd;
+          conn->id = next_conn_id++;
+          conn->accepted_at = conn->last_write_progress_at =
+              conn->last_read_at = clock.seconds();
+          conns.emplace(conn->id, std::move(conn));
+          accepted_cell->inc();
+          open_conns_cell->set(static_cast<double>(conns.size()));
+          return;
+        }
+        reason = busy_reason::server_busy;
+      }
+    }
+    // The frame is tiny and the socket buffer fresh: one send fits.
+    const std::vector<std::uint8_t> busy = encode_busy(0, reason);
+    [[maybe_unused]] const ssize_t n =
+        ::send(fd, busy.data(), busy.size(), MSG_NOSIGNAL);
+    ::close(fd);
+    rejected_cell->inc();
+    shed_cells[static_cast<std::size_t>(reason)]->inc();
+  }
+
+  void handle_readable(std::uint64_t conn_id) {
     bool close_now = false;
     bool evict = false;
     {
@@ -605,7 +458,7 @@ struct tcp_front_end::impl {
         conn.read_batch_start_us = obs::trace_clock_us();
       }
       for (;;) {
-        const ssize_t n = ::read(conn.fd, chunk.data(), chunk.size());
+        const ssize_t n = ::read(conn.fd, read_chunk.data(), read_chunk.size());
         if (n == 0) {
           close_now = true;  // orderly peer close
           break;
@@ -629,10 +482,10 @@ struct tcp_front_end::impl {
           break;
         }
         if (!discard) {
-          conn.read_buffer.insert(conn.read_buffer.end(), chunk.data(),
-                                  chunk.data() + n);
+          conn.read_buffer.insert(conn.read_buffer.end(), read_chunk.data(),
+                                  read_chunk.data() + n);
         }
-        if (static_cast<std::size_t>(n) < chunk.size()) break;
+        if (static_cast<std::size_t>(n) < read_chunk.size()) break;
       }
       if (!close_now) parse_frames_locked(conn);
     }
@@ -941,7 +794,9 @@ struct tcp_front_end::impl {
     });
   }
 
-  void enforce_deadlines() {
+  /// The reactor's deadline call: idle/stall evictions, then deferred
+  /// closes.
+  void on_tick() override {
     const double now = clock.seconds();
     std::vector<std::uint64_t> to_evict;
     {
@@ -963,6 +818,7 @@ struct tcp_front_end::impl {
     for (const std::uint64_t id : to_evict) {
       close_connection(id, /*evicted=*/true);
     }
+    finish_closing_connections();
   }
 
   /// Closes connections that were marked closing once their write queue is
@@ -1008,8 +864,7 @@ struct tcp_front_end::impl {
       }
       closed_cell->inc();
       if (evicted || conn->evict) evicted_cell->inc();
-      open_conns_cell->set(
-          static_cast<double>(conns.size() + pending_accepts.size()));
+      open_conns_cell->set(static_cast<double>(conns.size()));
     }
     ::close(conn->fd);
   }
@@ -1037,7 +892,7 @@ struct tcp_front_end::impl {
         // A throwing completion site must not lose the ticket.
       }
       process_completion(ticket_id);
-      wake_poll();
+      loop.wake();
     }
   }
 
@@ -1130,7 +985,7 @@ struct tcp_front_end::impl {
         }
       }
     }
-    wake_poll();
+    loop.wake();
     const double flush_deadline =
         clock.seconds() + config.drain_timeout_seconds;
     for (;;) {
@@ -1144,15 +999,16 @@ struct tcp_front_end::impl {
       if (flushed || clock.seconds() >= flush_deadline) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    // Phase 3: stop the threads. The poll loop exits once no writes are
-    // pending (it closes every socket on the way out); the completion
-    // thread exits when its queue is empty.
+    // Phase 3: stop the threads (the completion thread exits when its
+    // queue is empty), then close every remaining socket — tickets were
+    // reconciled above.
+    loop.stop();
     stopping.store(true, std::memory_order_relaxed);
-    wake_poll();
     completion_ready.notify_all();
-    acceptor_thread.join();
-    poll_thread.join();
     completion_thread.join();
+    for (const connection_info& info : connection_table()) {
+      close_connection(info.id, /*evicted=*/false);
+    }
     // The registry may outlive the front end (shared backend): unbind the
     // pull collector before the impl it captures goes away.
     metrics->remove_collector(collector_id);
@@ -1185,7 +1041,7 @@ struct tcp_front_end::impl {
     s.cancels_received = cancels_cell->value();
     s.pings_received = pings_cell->value();
     s.pongs_sent = pongs_cell->value();
-    s.open_connections = conns.size() + pending_accepts.size();
+    s.open_connections = conns.size();
     s.inflight = tickets.size();
     return s;
   }
@@ -1214,8 +1070,10 @@ struct tcp_front_end::impl {
 };
 
 tcp_front_end::tcp_front_end(serve::readout_server& server,
-                             front_end_config config)
-    : impl_(std::make_unique<impl>(server, std::move(config))) {}
+                             front_end_config config) {
+  config.validate();  // before the impl binds its socket
+  impl_ = std::make_unique<impl>(server, std::move(config));
+}
 
 tcp_front_end::~tcp_front_end() {
   try {
@@ -1226,7 +1084,7 @@ tcp_front_end::~tcp_front_end() {
 }
 
 std::uint16_t tcp_front_end::port() const noexcept {
-  return impl_->bound_port;
+  return impl_->loop.port();
 }
 
 void tcp_front_end::shutdown() { impl_->shutdown(); }

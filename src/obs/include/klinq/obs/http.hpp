@@ -1,26 +1,22 @@
 // Minimal read-only HTTP/1.1 introspection server.
 //
-// A single poll-loop thread serving GET requests from registered handlers —
-// the live plane behind /metrics, /healthz, /statusz, and /tracez. It is
+// Serves GET requests from registered handlers — the live plane behind
+// /metrics, /healthz, /statusz, and /tracez — on a klinq::reactor poll
+// thread, the socket loop the TCP front end also runs on. It is
 // deliberately not a web server: GET only, Connection: close, bounded
-// request size, bounded connection count, and a per-connection read
-// deadline, mirroring the TCP front end's eviction/quota discipline (it
-// cannot reuse that code — net layers above obs). Handlers run on the
-// serving thread and must be fast and lock-light; everything they expose
-// here is a snapshot read.
+// request size, bounded connection count, and one deadline per connection
+// covering the whole exchange (request read and response write). Handlers
+// run on the poll thread and must be fast and lock-light; everything they
+// expose here is a snapshot read.
 //
 // Enabled from the environment: KLINQ_HTTP=host:port (bare port accepted;
 // port 0 binds an ephemeral port, readable back via port()).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
 namespace klinq::obs {
 
@@ -28,7 +24,7 @@ struct http_config {
   std::string bind_address = "127.0.0.1:0";
   std::size_t max_connections = 16;     // accept() beyond this: 503 + close
   std::size_t max_request_bytes = 8192; // header bytes before 431 + close
-  double read_timeout_seconds = 5.0;    // slow clients are evicted
+  double read_timeout_seconds = 5.0;    // whole exchange; then evicted
   /// Parses KLINQ_HTTP ("host:port" or bare "port"); empty bind_address
   /// (variable unset) means "do not serve".
   static http_config from_env();
@@ -52,14 +48,14 @@ struct http_stats {
   std::uint64_t not_found = 0;       // 404s
   std::uint64_t malformed = 0;       // 400/405/431 rejections
   std::uint64_t over_capacity = 0;   // connections shed with 503
-  std::uint64_t evicted = 0;         // read-deadline evictions
+  std::uint64_t evicted = 0;         // exchange-deadline evictions
 };
 
 class http_server {
  public:
-  /// Binds and starts the serving thread; throws io_error when the address
-  /// cannot be bound. Register handlers before or after start — the table
-  /// is mutex-guarded.
+  /// Binds and starts the serving thread. Throws invalid_argument_error for
+  /// an unparsable address and io_error when it cannot be bound. Register
+  /// handlers before or after start — the table is mutex-guarded.
   explicit http_server(http_config config);
   ~http_server();
 

@@ -1,20 +1,21 @@
 #include "klinq/obs/http.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <cstdlib>
+#include <map>
+#include <mutex>
 #include <vector>
 
 #include "klinq/common/env.hpp"
 #include "klinq/common/error.hpp"
+#include "klinq/common/reactor.hpp"
 
 namespace klinq::obs {
 
@@ -46,29 +47,6 @@ std::string render_response(const http_response& response) {
   return out;
 }
 
-void set_nonblocking(int fd) noexcept {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-void parse_bind(const std::string& bind, std::string& host,
-                std::uint16_t& port) {
-  std::string text = bind;
-  const std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos) {
-    host = "127.0.0.1";
-  } else {
-    host = colon == 0 ? "127.0.0.1" : text.substr(0, colon);
-    text = text.substr(colon + 1);
-  }
-  KLINQ_REQUIRE(!text.empty(), "http_server: bind address has no port");
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text.c_str(), &end, 10);
-  KLINQ_REQUIRE(end != nullptr && *end == '\0' && value <= 65535,
-                "http_server: unparsable port in '" + bind + "'");
-  port = static_cast<std::uint16_t>(value);
-}
-
 double now_seconds() noexcept {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -83,15 +61,9 @@ http_config http_config::from_env() {
   return config;
 }
 
-struct http_server::impl {
+struct http_server::impl : reactor::owner {
   http_config config;
-  std::string host;
-  std::uint16_t port = 0;
-  int listen_fd = -1;
-  int wake_read = -1;   // self-pipe so stop() interrupts poll()
-  int wake_write = -1;
-  std::thread thread;
-  std::atomic<bool> stopping{false};
+  host_port bind;
   bool stopped = false;
   std::mutex stop_mutex;
 
@@ -111,58 +83,35 @@ struct http_server::impl {
     std::string read_buffer;
     std::string write_buffer;
     std::size_t write_offset = 0;
-    double read_deadline = 0.0;
+    double deadline = 0.0;    // the whole exchange, read and write
     bool responding = false;  // request parsed; draining write_buffer
   };
-  std::vector<connection> conns;
+  std::vector<connection> conns;  // poll thread only (stop() after join)
+  reactor loop;  // last: its thread uses every member above
 
-  void run();
+  explicit impl(http_config cfg)
+      : config(std::move(cfg)),
+        bind(parse_host_port("http_server", config.bind_address,
+                             "127.0.0.1")),
+        loop("http_server", bind.host, bind.port, 16) {}
+
+  void collect(std::vector<pollfd>& fds) override;
+  void on_ready(std::span<const pollfd> fds) override;
+  void on_accept(int fd) override;
+  void on_tick() override;
   void handle_readable(connection& conn);
+  void flush(connection& conn);
   void respond(connection& conn, const http_response& response);
   http_response dispatch(const std::string& request_text, bool& routed);
 };
 
-http_server::http_server(http_config config)
-    : impl_(std::make_unique<impl>()) {
-  impl_->config = config;
+http_server::http_server(http_config config) {
   KLINQ_REQUIRE(!config.bind_address.empty(),
                 "http_server: bind address must be non-empty");
   KLINQ_REQUIRE(config.max_connections > 0 && config.max_request_bytes > 0,
                 "http_server: limits must be positive");
-  parse_bind(config.bind_address, impl_->host, impl_->port);
-
-  impl_->listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (impl_->listen_fd < 0) throw io_error("http_server: socket() failed");
-  const int one = 1;
-  ::setsockopt(impl_->listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(impl_->port);
-  if (::inet_pton(AF_INET, impl_->host.c_str(), &addr.sin_addr) != 1) {
-    ::close(impl_->listen_fd);
-    throw io_error("http_server: unparsable host '" + impl_->host + "'");
-  }
-  if (::bind(impl_->listen_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(impl_->listen_fd, 16) != 0) {
-    ::close(impl_->listen_fd);
-    throw io_error("http_server: cannot bind " + config.bind_address);
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(impl_->listen_fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  impl_->port = ntohs(addr.sin_port);
-  set_nonblocking(impl_->listen_fd);
-
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    ::close(impl_->listen_fd);
-    throw io_error("http_server: pipe() failed");
-  }
-  impl_->wake_read = pipe_fds[0];
-  impl_->wake_write = pipe_fds[1];
-  set_nonblocking(impl_->wake_read);
-
-  impl_->thread = std::thread([this] { impl_->run(); });
+  impl_ = std::make_unique<impl>(std::move(config));
+  impl_->loop.start(*impl_, 0.1);
 }
 
 http_server::~http_server() { stop(); }
@@ -174,9 +123,11 @@ void http_server::add_handler(
   impl_->handlers[std::move(path)] = std::move(handler);
 }
 
-std::uint16_t http_server::port() const noexcept { return impl_->port; }
+std::uint16_t http_server::port() const noexcept { return impl_->loop.port(); }
 
-const std::string& http_server::host() const noexcept { return impl_->host; }
+const std::string& http_server::host() const noexcept {
+  return impl_->bind.host;
+}
 
 http_stats http_server::stats() const noexcept {
   http_stats s;
@@ -195,21 +146,11 @@ void http_server::stop() {
     if (impl_->stopped) return;
     impl_->stopped = true;
   }
-  impl_->stopping.store(true, std::memory_order_relaxed);
-  if (impl_->wake_write >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n =
-        ::write(impl_->wake_write, &byte, 1);
-  }
-  if (impl_->thread.joinable()) impl_->thread.join();
-  for (auto& conn : impl_->conns) {
+  impl_->loop.stop();
+  for (const auto& conn : impl_->conns) {
     if (conn.fd >= 0) ::close(conn.fd);
   }
   impl_->conns.clear();
-  if (impl_->listen_fd >= 0) ::close(impl_->listen_fd);
-  if (impl_->wake_read >= 0) ::close(impl_->wake_read);
-  if (impl_->wake_write >= 0) ::close(impl_->wake_write);
-  impl_->listen_fd = impl_->wake_read = impl_->wake_write = -1;
 }
 
 http_response http_server::impl::dispatch(const std::string& request_text,
@@ -297,77 +238,72 @@ void http_server::impl::handle_readable(connection& conn) {
   }
 }
 
-void http_server::impl::run() {
-  while (!stopping.load(std::memory_order_relaxed)) {
-    std::vector<pollfd> fds;
-    fds.push_back({wake_read, POLLIN, 0});
-    fds.push_back({listen_fd, POLLIN, 0});
-    for (const connection& conn : conns) {
-      short events = conn.responding ? POLLOUT : POLLIN;
-      fds.push_back({conn.fd, events, 0});
+void http_server::impl::flush(connection& conn) {
+  while (conn.write_offset < conn.write_buffer.size()) {
+    const ssize_t n =
+        ::send(conn.fd, conn.write_buffer.data() + conn.write_offset,
+               conn.write_buffer.size() - conn.write_offset, MSG_NOSIGNAL);
+    if (n > 0) {
+      conn.write_offset += static_cast<std::size_t>(n);
+      continue;
     }
-    ::poll(fds.data(), fds.size(), 100);
-    if (stopping.load(std::memory_order_relaxed)) return;
-
-    if (fds[1].revents & POLLIN) {
-      for (;;) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd < 0) break;
-        accepted.fetch_add(1, std::memory_order_relaxed);
-        set_nonblocking(fd);
-        if (conns.size() >= config.max_connections) {
-          // Over capacity: answer 503 best-effort and close — the shed
-          // discipline of the front end, minus the queueing.
-          over_capacity.fetch_add(1, std::memory_order_relaxed);
-          const std::string shed = render_response(
-              {503, "text/plain; charset=utf-8", "over capacity\n"});
-          [[maybe_unused]] const ssize_t n =
-              ::send(fd, shed.data(), shed.size(), MSG_NOSIGNAL);
-          ::close(fd);
-          continue;
-        }
-        connection conn;
-        conn.fd = fd;
-        conn.read_deadline = now_seconds() + config.read_timeout_seconds;
-        conns.push_back(std::move(conn));
-      }
-    }
-
-    const double now = now_seconds();
-    for (std::size_t i = 2; i < fds.size(); ++i) {
-      connection& conn = conns[i - 2];
-      if (conn.fd < 0) continue;
-      if (!conn.responding && (fds[i].revents & (POLLIN | POLLHUP))) {
-        handle_readable(conn);
-      }
-      if (conn.fd >= 0 && conn.responding) {
-        while (conn.write_offset < conn.write_buffer.size()) {
-          const ssize_t n = ::send(
-              conn.fd, conn.write_buffer.data() + conn.write_offset,
-              conn.write_buffer.size() - conn.write_offset, MSG_NOSIGNAL);
-          if (n > 0) {
-            conn.write_offset += static_cast<std::size_t>(n);
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          ::close(conn.fd);
-          conn.fd = -1;
-          break;
-        }
-        if (conn.fd >= 0 &&
-            conn.write_offset == conn.write_buffer.size()) {
-          ::close(conn.fd);  // Connection: close — one request per socket
-          conn.fd = -1;
-        }
-      }
-      if (conn.fd >= 0 && !conn.responding && now > conn.read_deadline) {
-        evicted.fetch_add(1, std::memory_order_relaxed);
-        ::close(conn.fd);
-        conn.fd = -1;
-      }
-    }
-    std::erase_if(conns, [](const connection& c) { return c.fd < 0; });
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    break;  // peer gone: close below
   }
+  ::close(conn.fd);  // Connection: close — one request per socket
+  conn.fd = -1;
+}
+
+void http_server::impl::collect(std::vector<pollfd>& fds) {
+  for (const connection& conn : conns) {
+    const short events = conn.responding ? POLLOUT : POLLIN;
+    fds.push_back({conn.fd, events, 0});
+  }
+}
+
+void http_server::impl::on_ready(std::span<const pollfd> fds) {
+  // fds[i] is conns[i]: connections are only appended (on_accept) and
+  // erased (on_tick) after this call.
+  for (std::size_t i = 0; i < fds.size(); ++i) {
+    connection& conn = conns[i];
+    if (!conn.responding && (fds[i].revents & (POLLIN | POLLHUP))) {
+      handle_readable(conn);
+    }
+    if (conn.fd >= 0 && conn.responding) flush(conn);
+  }
+}
+
+void http_server::impl::on_accept(int fd) {
+  accepted.fetch_add(1, std::memory_order_relaxed);
+  if (conns.size() >= config.max_connections) {
+    // Over capacity: answer 503 best-effort and close — the shed discipline
+    // of the front end, minus the queueing.
+    over_capacity.fetch_add(1, std::memory_order_relaxed);
+    const std::string shed = render_response(
+        {503, "text/plain; charset=utf-8", "over capacity\n"});
+    [[maybe_unused]] const ssize_t n =
+        ::send(fd, shed.data(), shed.size(), MSG_NOSIGNAL);
+    ::close(fd);
+    return;
+  }
+  connection conn;
+  conn.fd = fd;
+  conn.deadline = now_seconds() + config.read_timeout_seconds;
+  conns.push_back(std::move(conn));
+}
+
+void http_server::impl::on_tick() {
+  // A client that stops sending its request or stops reading its response
+  // loses its slot at the same deadline.
+  const double now = now_seconds();
+  for (connection& conn : conns) {
+    if (conn.fd >= 0 && now > conn.deadline) {
+      evicted.fetch_add(1, std::memory_order_relaxed);
+      ::close(conn.fd);
+      conn.fd = -1;
+    }
+  }
+  std::erase_if(conns, [](const connection& c) { return c.fd < 0; });
 }
 
 std::unique_ptr<http_server> start_http_from_env() {

@@ -3,8 +3,9 @@
 // Contracts under test:
 //   * the server answers registered GET handlers and nothing else: unknown
 //     paths 404, non-GET methods 405, malformed request lines 400, oversize
-//     headers 431, over-capacity accepts 503, and a slow client is evicted
-//     on the read deadline — each rejection visible in http_stats;
+//     headers 431, over-capacity accepts 503, and a client that stalls
+//     sending its request or reading its response is evicted on the
+//     exchange deadline — each rejection visible in http_stats;
 //   * handler exceptions surface as 500 without killing the server;
 //   * environment wiring via KLINQ_HTTP;
 //   * the standard introspection handlers: /metrics is a lint-clean
@@ -191,6 +192,55 @@ TEST(HttpServer, OverCapacityConnectionsAreShedWith503) {
   EXPECT_NE(reply.find("503"), std::string::npos);
   EXPECT_TRUE(wait_until([&] { return server.stats().over_capacity >= 1; }));
   ::close(holder);
+}
+
+TEST(HttpServer, StalledReaderIsEvictedAndFreesItsSlot) {
+  obs::http_config config;
+  config.max_connections = 1;
+  config.read_timeout_seconds = 0.2;
+  obs::http_server server = make_server(config);
+  // Far more than a 4 KiB receive window plus any send buffer can absorb,
+  // so the response write stalls once the client stops reading.
+  server.add_handler("/big", [](const obs::http_request&) {
+    return obs::http_response{200, "application/octet-stream",
+                              std::string(std::size_t{16} << 20, 'x')};
+  });
+  server.add_handler("/ok", [](const obs::http_request&) {
+    return obs::http_response{};
+  });
+  const int reader = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(reader, 0);
+  const int window = 4096;
+  ::setsockopt(reader, SOL_SOCKET, SO_RCVBUF, &window, sizeof(window));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::connect(reader, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const std::string request = "GET /big HTTP/1.1\r\n\r\n";
+  ASSERT_EQ(::send(reader, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  // The request was read in time; the response never drains. The exchange
+  // deadline must still evict the connection and free the only slot.
+  EXPECT_TRUE(
+      wait_until([&] { return server.stats().evicted >= 1; }, 3.0));
+  EXPECT_EQ(obs::http_get(server.host(), server.port(), "/ok").status, 200);
+  EXPECT_EQ(server.stats().over_capacity, 0u);
+  ::close(reader);
+}
+
+TEST(HttpServer, BindErrorsAreTyped) {
+  EXPECT_THROW(obs::http_server({.bind_address = "localhost:0"}),
+               invalid_argument_error);
+  EXPECT_THROW(obs::http_server({.bind_address = "127.0.0.1:http"}),
+               invalid_argument_error);
+  obs::http_server first = make_server();
+  EXPECT_THROW(obs::http_server(
+                   {.bind_address =
+                        "127.0.0.1:" + std::to_string(first.port())}),
+               io_error);
 }
 
 TEST(HttpServer, EnvironmentWiring) {

@@ -407,6 +407,18 @@ TEST(NetConfig, FromEnvAppliesAndRejectsOverrides) {
   });
 }
 
+TEST(NetConfig, BindErrorsAreTyped) {
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  net::front_end_config cfg;
+  cfg.bind_address = "localhost";  // a name, not an IPv4 address
+  EXPECT_THROW(net::tcp_front_end(server, cfg), invalid_argument_error);
+  net::tcp_front_end first(server);
+  cfg.bind_address = "127.0.0.1";
+  cfg.port = first.port();  // taken
+  EXPECT_THROW(net::tcp_front_end(server, cfg), io_error);
+}
+
 // --- end-to-end serving -----------------------------------------------------
 
 TEST(NetServing, FixedResponseBitExactOverLoopback) {
@@ -927,6 +939,28 @@ TEST(NetShutdown, GracefulDrainAnswersGoodbyeAndReconciles) {
   const serve::ticket t =
       server.submit({0, &block, serve::engine_kind::fixed_q16});
   EXPECT_EQ(server.wait(t).status, serve::request_status::ok);
+}
+
+TEST(NetShutdown, IdleShutdownIsPrompt) {
+  // shutdown() must wake the poll thread, not wait out its interval: ten
+  // start/serve/stop cycles with a 5 s poll interval finish well under 1 s.
+  // The ping proves the poll thread is parked in poll() when the idle front
+  // end is shut down.
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  net::front_end_config cfg;
+  cfg.poll_interval_seconds = 5.0;
+  stopwatch timer;
+  for (int i = 0; i < 10; ++i) {
+    net::tcp_front_end front(server, cfg);
+    {
+      net::client cli("127.0.0.1", front.port());
+      cli.send_ping(1);
+      ASSERT_TRUE(cli.read_frame().has_value());
+    }
+    front.shutdown();
+  }
+  EXPECT_LT(timer.seconds(), 1.0);
 }
 
 // --- protocol v2: flags byte, trace context, version negotiation ------------

@@ -793,6 +793,34 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(version));
       }
       if (chaos && round == (2 * rounds) / 3) {
+        // The armed window ends on progress, not on a round count: the
+        // workers may not have run the armed rounds' shards yet. Drain them,
+        // then keep the bad deploy under plain traffic until the failure
+        // threshold trips it — or until serve.shard.run has been evaluated
+        // far more often than the threshold needs, or a hard cap, so a real
+        // failure still fails the checks below.
+        constexpr std::uint64_t kEnoughShardRuns = 256;
+        constexpr std::size_t kMaxExtraRequests = 512;
+        const auto shard_runs = [] {
+          std::uint64_t evaluations = 0;
+          for (const fault::site_report& row : fault::report()) {
+            if (row.site == "serve.shard.run") evaluations += row.evaluations;
+          }
+          return evaluations;
+        };
+        while (!open.empty()) consume_oldest();
+        for (std::size_t extra = 0;
+             extra < kMaxExtraRequests && reg->stats().demotions == 0 &&
+             shard_runs() < kEnoughShardRuns;
+             ++extra) {
+          try {
+            open.push_back(server->submit({0, &data[0].test, engine}));
+          } catch (const fault::injected_fault&) {
+            ++rejected_submits;
+            continue;
+          }
+          consume_oldest();
+        }
         chaos_report = fault::report();
         // Latch the fired counts into the metrics mirror before disarm_all()
         // clears the fault sites (the mirror collects at snapshot time).
