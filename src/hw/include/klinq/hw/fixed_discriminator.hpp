@@ -6,17 +6,18 @@
 // reproduces the float model's decision (the paper's "maintains
 // discrimination accuracy" claim for Q16.16).
 //
-// For formats on the int64 kernel fast path every entry point — logit(),
-// logits_block(), logits_lanes() and the pool-parallel logits() — runs one
-// datapath over tiles of up to kBatchTile shots: a single frontend_tile
-// pass streams each float trace once through quantize → AVG ∥ MF → NORM
-// with one shot per SIMD lane (a tile of only a few shots runs them one at
-// a time, samples across the lanes), writing the feature-major plane the
-// network tile (mac_tile per layer) consumes directly. logit() is a
-// one-lane tile.
-// No fixed<I,F> temporary or quantized trace is materialized; results are
-// bit-identical to the fixed<I,F> reference path (quantize_trace + extract
-// + forward_logit), which wide formats (Q24.24) keep running.
+// Every entry point — logit(), logits_block(), logits_lanes() and the
+// pool-parallel logits() — only gathers trace pointers and runs one private
+// datapath, run_tile(), over tiles of up to kBatchTile shots. For the 32-bit
+// formats (the int64 kernel fast path) a single frontend_tile pass streams
+// each float trace once through quantize → AVG ∥ MF → NORM with one shot per
+// SIMD lane (a tile of only a few shots runs them one at a time, samples
+// across the lanes), writing the feature-major plane the network tile
+// (mac_tile per layer) consumes directly; no fixed<I,F> temporary is
+// materialized. Q24.24, whose products need int128, runs the fixed<I,F>
+// reference (quantize_trace + extract + forward_logit) lane by lane inside
+// the same run_tile. Both are bit-identical to that reference per shot;
+// logit() is a one-lane tile.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +33,15 @@
 
 namespace klinq::hw {
 
-/// Reusable buffers for the full trace→decision path. The fixed<I,F>
-/// reference path uses the quantized trace register file, a feature tile
+/// Reusable buffers for the full trace→decision path. The wide (Q24.24)
+/// reference lanes use the quantized trace register file, one feature row
 /// and the network's ping-pong arena; the kernel fast path (32-bit formats)
 /// uses the feature-major raw plane, the tile's raw output logits, and an
 /// AVG layout for trace durations the front end was not built for.
 template <class Fixed>
 struct discriminator_scratch {
   std::vector<Fixed> trace;
-  la::matrix<Fixed> features;
+  std::vector<Fixed> features;
   quantized_scratch<Fixed> net;
   frontend_layout layout;
   aligned_vector<std::int32_t> plane_raw;
@@ -66,25 +67,13 @@ class fixed_discriminator {
   /// scratch (allocation-free when reused).
   Fixed logit(std::span<const float> trace, std::size_t samples_per_quadrature,
               discriminator_scratch<Fixed>& scratch) const {
-    if constexpr (quantized_network<Fixed>::kernel_fast_path) {
-      // A one-lane tile — the mid-circuit repeated-measurement hot path.
-      KLINQ_REQUIRE(trace.size() == 2 * samples_per_quadrature,
-                    "fixed_discriminator: trace width != 2N");
-      const float* lane = trace.data();
-      Fixed out;
-      run_tile(&lane, 1, samples_per_quadrature, &out, scratch);
-      return out;
-    } else {
-      scratch.trace.resize(trace.size());
-      fixed_frontend<Fixed>::quantize_trace(trace, scratch.trace);
-      if (scratch.features.rows() != 1 ||
-          scratch.features.cols() != frontend_.output_width()) {
-        scratch.features.resize(1, frontend_.output_width());
-      }
-      frontend_.extract(scratch.trace, samples_per_quadrature,
-                        scratch.features.row(0));
-      return net_.forward_logit(scratch.features.row(0), scratch.net);
-    }
+    // A one-lane tile — the mid-circuit repeated-measurement hot path.
+    KLINQ_REQUIRE(trace.size() == 2 * samples_per_quadrature,
+                  "fixed_discriminator: trace width != 2N");
+    const float* lane = trace.data();
+    Fixed out;
+    run_tile(&lane, 1, samples_per_quadrature, &out, scratch);
+    return out;
   }
 
   /// Convenience single-shot overload (allocates its own scratch).
@@ -122,36 +111,15 @@ class fixed_discriminator {
                   "fixed_discriminator: one logit per row required");
     const std::size_t n = dataset.samples_per_quadrature();
     constexpr std::size_t kTile = quantized_network<Fixed>::kBatchTile;
-    if constexpr (quantized_network<Fixed>::kernel_fast_path) {
-      const float* traces[kTile];
-      for (std::size_t tile_begin = row_begin; tile_begin < row_end;
-           tile_begin += kTile) {
-        const std::size_t tile = std::min(kTile, row_end - tile_begin);
-        for (std::size_t s = 0; s < tile; ++s) {
-          traces[s] = dataset.trace(tile_begin + s).data();
-        }
-        run_tile(traces, tile, n, out.data() + (tile_begin - row_begin),
-                 scratch);
+    const float* traces[kTile];
+    for (std::size_t tile_begin = row_begin; tile_begin < row_end;
+         tile_begin += kTile) {
+      const std::size_t tile = std::min(kTile, row_end - tile_begin);
+      for (std::size_t s = 0; s < tile; ++s) {
+        traces[s] = dataset.trace(tile_begin + s).data();
       }
-    } else {
-      const std::size_t width = frontend_.output_width();
-      scratch.trace.resize(dataset.feature_width());
-      for (std::size_t tile_begin = row_begin; tile_begin < row_end;
-           tile_begin += kTile) {
-        const std::size_t tile = std::min(kTile, row_end - tile_begin);
-        if (scratch.features.rows() != tile ||
-            scratch.features.cols() != width) {
-          scratch.features.resize(tile, width);
-        }
-        for (std::size_t s = 0; s < tile; ++s) {
-          fixed_frontend<Fixed>::quantize_trace(dataset.trace(tile_begin + s),
-                                                scratch.trace);
-          frontend_.extract(scratch.trace, n, scratch.features.row(s));
-        }
-        net_.forward_logits(scratch.features,
-                            out.subspan(tile_begin - row_begin, tile),
-                            scratch.net);
-      }
+      run_tile(traces, tile, n, out.data() + (tile_begin - row_begin),
+               scratch);
     }
   }
 
@@ -171,23 +139,15 @@ class fixed_discriminator {
                   "fixed_discriminator: lane count exceeds the network tile");
     KLINQ_REQUIRE(out.size() == lanes,
                   "fixed_discriminator: one logit per lane required");
-    if constexpr (quantized_network<Fixed>::kernel_fast_path) {
-      const std::size_t n = datasets[0]->samples_per_quadrature();
-      const float* traces[kTile];
-      for (std::size_t s = 0; s < lanes; ++s) {
-        KLINQ_REQUIRE(datasets[s]->samples_per_quadrature() == n,
-                      "fixed_discriminator: lanes of one tile must share "
-                      "the trace duration");
-        traces[s] = datasets[s]->trace(rows[s]).data();
-      }
-      run_tile(traces, lanes, n, out.data(), scratch);
-    } else {
-      // Wide formats stay on the fixed<I,F> reference path per lane.
-      for (std::size_t s = 0; s < lanes; ++s) {
-        out[s] = logit(datasets[s]->trace(rows[s]),
-                       datasets[s]->samples_per_quadrature(), scratch);
-      }
+    const std::size_t n = datasets[0]->samples_per_quadrature();
+    const float* traces[kTile];
+    for (std::size_t s = 0; s < lanes; ++s) {
+      KLINQ_REQUIRE(datasets[s]->samples_per_quadrature() == n,
+                    "fixed_discriminator: lanes of one tile must share "
+                    "the trace duration");
+      traces[s] = datasets[s]->trace(rows[s]).data();
     }
+    run_tile(traces, lanes, n, out.data(), scratch);
   }
 
   /// Batched ADC-to-logit evaluation: one output register per dataset row.
@@ -253,22 +213,31 @@ class fixed_discriminator {
   }
 
  private:
-  /// The fast-path datapath: `lanes` traces of N samples through one
-  /// frontend_tile pass into the feature plane, then the network tile;
-  /// writes out[0..lanes).
+  /// The one datapath: `lanes` traces of 2N samples to out[0..lanes).
+  /// 32-bit formats run one frontend_tile pass into the feature plane, then
+  /// the network tile; Q24.24 runs the fixed<I,F> reference per lane.
   void run_tile(const float* const* traces, std::size_t lanes, std::size_t n,
-                Fixed* out, discriminator_scratch<Fixed>& scratch) const
-    requires(quantized_network<Fixed>::kernel_fast_path)
-  {
-    constexpr std::size_t kTile = quantized_network<Fixed>::kBatchTile;
-    scratch.plane_raw.resize(frontend_.output_width() * kTile);
-    scratch.logits_raw.resize(kTile);
-    frontend_.extract_tile(traces, lanes, n, scratch.plane_raw.data(), kTile,
-                           scratch.layout);
-    net_.forward_logits_plane(scratch.plane_raw.data(), lanes,
-                              scratch.logits_raw.data(), scratch.net);
-    for (std::size_t s = 0; s < lanes; ++s) {
-      out[s] = Fixed::from_raw(scratch.logits_raw[s]);
+                Fixed* out, discriminator_scratch<Fixed>& scratch) const {
+    if constexpr (quantized_network<Fixed>::kernel_fast_path) {
+      constexpr std::size_t kTile = quantized_network<Fixed>::kBatchTile;
+      scratch.plane_raw.resize(frontend_.output_width() * kTile);
+      scratch.logits_raw.resize(kTile);
+      frontend_.extract_tile(traces, lanes, n, scratch.plane_raw.data(), kTile,
+                             scratch.layout);
+      net_.forward_logits_plane(scratch.plane_raw.data(), lanes,
+                                scratch.logits_raw.data(), scratch.net);
+      for (std::size_t s = 0; s < lanes; ++s) {
+        out[s] = Fixed::from_raw(scratch.logits_raw[s]);
+      }
+    } else {
+      scratch.trace.resize(2 * n);
+      scratch.features.resize(frontend_.output_width());
+      for (std::size_t s = 0; s < lanes; ++s) {
+        fixed_frontend<Fixed>::quantize_trace({traces[s], 2 * n},
+                                              scratch.trace);
+        frontend_.extract(scratch.trace, n, scratch.features);
+        out[s] = net_.forward_logit(scratch.features, scratch.net);
+      }
     }
   }
 

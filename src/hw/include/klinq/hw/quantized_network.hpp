@@ -15,7 +15,9 @@
 // loops through the vectorized kernels in klinq/fixed/fixed_kernels.hpp
 // (branchless int64 scalar or AVX2, runtime-dispatched) — bit-identical to
 // the fixed<I,F> reference path by construction (tests/test_fixed_kernels.cpp
-// proves it adversarially). Q24.24 stays on the int128 reference path.
+// proves it adversarially). Batches run as feature-major tiles through
+// forward_logits_plane; forward_logit is the single-shot entry and, for
+// Q24.24, the int128 reference path itself.
 #pragma once
 
 #include <algorithm>
@@ -27,7 +29,6 @@
 #include "klinq/common/error.hpp"
 #include "klinq/fixed/fixed.hpp"
 #include "klinq/fixed/fixed_kernels.hpp"
-#include "klinq/linalg/matrix.hpp"
 #include "klinq/nn/network.hpp"
 
 namespace klinq::hw {
@@ -259,74 +260,6 @@ class quantized_network {
     }
     // The logit is row 0 of the final plane.
     std::copy(current, current + tile, out_raw);
-  }
-
-  /// Batched forward: `inputs` is (shots × input_dim); writes one output
-  /// logit register per row. Shots are processed in cache-blocked tiles of
-  /// kBatchTile so each weight row loads once per tile; results are
-  /// bit-identical to forward_logit on every row. Steady-state evaluation
-  /// through a reused scratch performs zero heap allocations.
-  void forward_logits(const la::matrix<Fixed>& inputs, std::span<Fixed> out,
-                      quantized_scratch<Fixed>& scratch) const {
-    KLINQ_REQUIRE(!layers_.empty(), "quantized_network: empty network");
-    KLINQ_REQUIRE(inputs.cols() == input_dim_,
-                  "quantized_network: bad input width");
-    KLINQ_REQUIRE(out.size() == inputs.rows(),
-                  "quantized_network: one output register per shot required");
-    if constexpr (kernel_fast_path) {
-      scratch.in_raw.resize(kBatchTile * input_dim_);
-      aligned_vector<std::int32_t>& plane = scratch.in_raw;
-      std::int32_t logits_raw[kBatchTile];
-      for (std::size_t tile_begin = 0; tile_begin < inputs.rows();
-           tile_begin += kBatchTile) {
-        const std::size_t tile =
-            std::min(kBatchTile, inputs.rows() - tile_begin);
-        // Transpose the shot-major tile into the feature-major plane.
-        for (std::size_t s = 0; s < tile; ++s) {
-          const auto row = inputs.row(tile_begin + s);
-          for (std::size_t i = 0; i < input_dim_; ++i) {
-            plane[i * kBatchTile + s] =
-                static_cast<std::int32_t>(row[i].raw());
-          }
-        }
-        forward_logits_plane(plane.data(), tile, logits_raw, scratch);
-        for (std::size_t s = 0; s < tile; ++s) {
-          out[tile_begin + s] = Fixed::from_raw(logits_raw[s]);
-        }
-      }
-    } else {
-      std::size_t width_cap = max_width();
-      scratch.a.resize(kBatchTile * width_cap);
-      scratch.b.resize(kBatchTile * width_cap);
-
-      for (std::size_t tile_begin = 0; tile_begin < inputs.rows();
-           tile_begin += kBatchTile) {
-        const std::size_t tile =
-            std::min(kBatchTile, inputs.rows() - tile_begin);
-        Fixed* current = scratch.a.data();
-        Fixed* next = scratch.b.data();
-        for (std::size_t s = 0; s < tile; ++s) {
-          const auto row = inputs.row(tile_begin + s);
-          std::copy(row.begin(), row.end(), current + s * input_dim_);
-        }
-        std::size_t width = input_dim_;
-        for (const layer& l : layers_) {
-          // Neuron-outer / shot-inner: one weight-row load per tile, with the
-          // per-shot MAC order identical to the single-shot path.
-          for (std::size_t neuron = 0; neuron < l.out_dim; ++neuron) {
-            for (std::size_t s = 0; s < tile; ++s) {
-              next[s * l.out_dim + neuron] =
-                  neuron_mac(l, neuron, current + s * width);
-            }
-          }
-          std::swap(current, next);
-          width = l.out_dim;
-        }
-        for (std::size_t s = 0; s < tile; ++s) {
-          out[tile_begin + s] = current[s * width];
-        }
-      }
-    }
   }
 
   /// Hard decision: output register sign bit clear ⇒ state 1 ≡ logit >= 0.

@@ -66,7 +66,10 @@ class student_model {
     return net_.parameter_count();
   }
 
-  /// Raw logit for one flattened trace.
+  /// Raw logit for one flattened trace of 2N floats: a one-lane run of the
+  /// batched datapath, so bitwise equal to predict_block, predict_lanes and
+  /// predict_batch on the same trace within the active float tier. Throws
+  /// invalid_argument_error when trace.size() != 2N.
   float logit(std::span<const float> trace,
               std::size_t samples_per_quadrature) const;
 
@@ -78,8 +81,8 @@ class student_model {
   /// (dsp::batch_extractor::extract_tile feeding the float plane kernels),
   /// parallelized over tile-aligned chunks. Writes one logit per dataset row
   /// into `logits_out`. Logits are invariant to batch size, chunking and
-  /// worker count within the active float tier, and match logit() per trace
-  /// to rounding tolerance (the single-shot path reduces in dot order).
+  /// worker count within the active float tier, and bitwise equal to logit()
+  /// per trace.
   void predict_batch(const data::trace_dataset& dataset,
                      std::span<float> logits_out,
                      student_scratch& scratch) const;
@@ -116,10 +119,11 @@ class student_model {
   static student_model load(std::istream& in);
 
  private:
-  /// The float datapath every batched entry point shares: `lanes` traces of
-  /// 2n floats extracted feature-major into the first-layer panel, then the
+  /// The float datapath every entry point shares: `lanes` traces of 2n
+  /// floats extracted feature-major into the first-layer panel, then the
   /// plane kernels; writes out[0..lanes). Requires lanes <= max_tile_lanes.
-  /// predict_block and predict_lanes differ only in how they gather traces.
+  /// logit, predict_block and predict_lanes differ only in how they gather
+  /// traces.
   void run_tile(const float* const* traces, std::size_t lanes, std::size_t n,
                 float* out, student_scratch& scratch) const;
 

@@ -24,10 +24,16 @@ student_model::student_model(dsp::feature_pipeline pipeline, nn::network net)
 
 float student_model::logit(std::span<const float> trace,
                            std::size_t samples_per_quadrature) const {
-  thread_local std::vector<float> features;
-  features.assign(pipeline_.output_width(), 0.0f);
-  pipeline_.extract(trace, samples_per_quadrature, features);
-  return net_.predict_logit(features);
+  // The tile reads through raw pointers, so the width is checked here.
+  KLINQ_REQUIRE(trace.size() == 2 * samples_per_quadrature,
+                "student_model::logit: trace width != 2N");
+  // A one-lane tile through a persistent per-thread arena: allocation-free
+  // once warm, and bitwise equal to the batched entry points.
+  thread_local student_scratch scratch;
+  const float* lane = trace.data();
+  float out = 0.0f;
+  run_tile(&lane, 1, samples_per_quadrature, &out, scratch);
+  return out;
 }
 
 bool student_model::predict_state(std::span<const float> trace,

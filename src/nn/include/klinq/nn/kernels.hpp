@@ -38,8 +38,8 @@
 // identical per-element operation sequence regardless of its position in
 // the tile, a shot's output is invariant to tile width, lane index, batch
 // size and worker count WITHIN a tier — the fused and unfused batched float
-// paths are therefore bitwise equal, and only batched-vs-single-shot
-// (dot-order) and cross-tier comparisons need tolerances.
+// paths are therefore bitwise equal, and only comparisons against
+// network::predict_logit (dot order) and across tiers need tolerances.
 #pragma once
 
 #include <cstddef>

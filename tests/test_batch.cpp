@@ -8,9 +8,10 @@
 //     position and worker count WITHIN the active float tier (the plane
 //     kernels are lane-invariant), so batched-vs-batched comparisons stay
 //     exact;
-//   * batched float logits match the single-shot predict_logit/logit() only
-//     to rounding tolerance — the single-shot path reduces in dot order,
-//     the batched path in fused plane order (KLINQ_DETERMINISTIC pins the
+//   * student_model::logit() is a one-lane run of that same datapath, so a
+//     float single shot is bitwise equal to the batched paths too;
+//   * only nn::network::predict_logit keeps dot order: the batched network
+//     logits match it to rounding tolerance (KLINQ_DETERMINISTIC pins the
 //     scalar tier but does not remove this order difference).
 #include <cmath>
 #include <gtest/gtest.h>
@@ -217,17 +218,17 @@ TEST(BatchParity, ExtractTileMatchesExtractBlockExactly) {
 
 // --- kd: student predict_batch vs per-trace logit --------------------------
 
-TEST(BatchParity, StudentPredictBatchMatchesSingleShotWithinTolerance) {
+// logit() is a one-lane run of the batched datapath: bitwise equal.
+TEST(BatchParity, StudentPredictBatchMatchesSingleShotBitwise) {
   auto& f = fixture();
   for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
                                   std::size_t{64}}) {
     const data::trace_dataset subset = first_rows(f.data.test, batch);
     const std::vector<float> batched = f.student.predict_batch(subset);
     for (std::size_t r = 0; r < batch; ++r) {
-      expect_logit_close(batched[r],
-                         f.student.logit(subset.trace(r),
-                                         subset.samples_per_quadrature()),
-                         "student", r);
+      ASSERT_EQ(batched[r], f.student.logit(subset.trace(r),
+                                            subset.samples_per_quadrature()))
+          << "batch " << batch << " row " << r;
     }
   }
 }
@@ -237,7 +238,7 @@ TEST(BatchParity, StudentPredictBatchUnderThreadPool) {
   // Full test set: larger than every serial-fallback threshold, so the
   // parallel fused extract→FC chunks are exercised. The pooled result must
   // be bitwise identical to a serial predict_block over the same rows
-  // (chunking invariance) and tolerance-close to the single-shot path.
+  // (chunking invariance) and to the single-shot path.
   const auto& ds = f.data.test;
   ASSERT_GE(ds.size(), 64u);
   const std::vector<float> batched = f.student.predict_batch(ds);
@@ -246,10 +247,9 @@ TEST(BatchParity, StudentPredictBatchUnderThreadPool) {
   f.student.predict_block(ds, 0, ds.size(), serial, scratch);
   for (std::size_t r = 0; r < ds.size(); ++r) {
     ASSERT_EQ(batched[r], serial[r]) << "row " << r;
-    expect_logit_close(batched[r],
-                       f.student.logit(ds.trace(r),
-                                       ds.samples_per_quadrature()),
-                       "student-pool", r);
+    ASSERT_EQ(batched[r],
+              f.student.logit(ds.trace(r), ds.samples_per_quadrature()))
+        << "single-shot row " << r;
   }
 }
 

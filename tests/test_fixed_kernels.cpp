@@ -11,6 +11,7 @@
 // has the tier; the scalar comparisons run everywhere.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -22,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "klinq/common/aligned.hpp"
+#include "klinq/common/error.hpp"
 #include "klinq/common/rng.hpp"
 #include "klinq/common/thread_pool.hpp"
 #include "klinq/data/trace_dataset.hpp"
@@ -543,7 +546,7 @@ TYPED_TEST(FixedKernelTest, FrontendTileTiersMatchFixedReference) {
 }
 
 // ---------------------------------------------------------------------------
-// forward_logits parity: the rewired network vs the int128 reference pass
+// Network parity: forward_logits_plane / forward_logit vs the int128 pass
 // ---------------------------------------------------------------------------
 
 template <class Fixed>
@@ -595,12 +598,24 @@ TYPED_TEST(FixedKernelTest, ForwardLogitsMatchInt128ReferenceUnderPool) {
     expected[r] = ref_forward<Fixed>(float_net, net, inputs.row(r));
   }
 
-  // Batched (kernel tile path), serial.
+  // Batched (kernel tile path), serial: the inputs transposed into the
+  // feature-major kBatchTile plane the discriminator's tile feeds.
+  constexpr std::size_t kTile = hw::quantized_network<Fixed>::kBatchTile;
   hw::quantized_scratch<Fixed> scratch;
-  std::vector<Fixed> batched(shots);
-  net.forward_logits(inputs, batched, scratch);
-  for (std::size_t r = 0; r < shots; ++r) {
-    ASSERT_EQ(batched[r].raw(), expected[r].raw()) << "row " << r;
+  aligned_vector<std::int32_t> plane(31 * kTile);
+  std::int32_t logits[kTile];
+  for (std::size_t begin = 0; begin < shots; begin += kTile) {
+    const std::size_t tile = std::min(kTile, shots - begin);
+    for (std::size_t s = 0; s < tile; ++s) {
+      for (std::size_t c = 0; c < 31; ++c) {
+        plane[c * kTile + s] =
+            static_cast<std::int32_t>(inputs(begin + s, c).raw());
+      }
+    }
+    net.forward_logits_plane(plane.data(), tile, logits, scratch);
+    for (std::size_t s = 0; s < tile; ++s) {
+      ASSERT_EQ(logits[s], expected[begin + s].raw()) << "row " << begin + s;
+    }
   }
 
   // Single-shot (kernel row path).
@@ -683,29 +698,85 @@ TYPED_TEST(FixedKernelTest, DiscriminatorEntryPointsMatchInt128Reference) {
   }
 }
 
-// The wide reference format keeps the int128 path: same reference pass, no
-// kernels involved — guards the else-branches of the rewired hw:: layer.
-TEST(FixedKernelsWideFormat, Q24StaysOnReferencePath) {
+// Q24.24 products need int128, so its run_tile takes the fixed<I,F>
+// reference lane by lane; every entry point still goes through it and must
+// equal the int128 forward of the reference features.
+TEST(FixedKernelsWideFormat, Q24DiscriminatorEntryPointsMatchReference) {
   using Fixed = fx::q24_24;
   static_assert(!kernels::has_int64_fast_path<Fixed>);
   xoshiro256 rng(41);
-  auto float_net = nn::make_mlp(8, {6, 4});
-  float_net.initialize(nn::weight_init::he_normal, rng);
-  const hw::quantized_network<Fixed> net(float_net);
-  la::matrix<Fixed> inputs(70, 8);
-  for (std::size_t r = 0; r < inputs.rows(); ++r) {
-    for (std::size_t c = 0; c < inputs.cols(); ++c) {
-      inputs(r, c) = Fixed::from_double(rng.uniform(-4.0, 4.0));
+  for (const frontend_case& shape : kFrontendCases) {
+    const dsp::feature_pipeline pipeline =
+        adversarial_pipeline<Fixed>(shape, rng);
+    auto float_net = nn::make_mlp(pipeline.output_width(), {16, 8});
+    float_net.initialize(nn::weight_init::he_normal, rng);
+    const hw::fixed_discriminator<Fixed> discriminator(
+        kd::student_model(pipeline, float_net));
+    const std::size_t shots = 70;  // one full tile + a ragged tail
+    data::trace_dataset dataset(shots, shape.n);
+    std::vector<std::int64_t> expected(shots);
+    for (std::size_t r = 0; r < shots; ++r) {
+      dataset.append(adversarial_trace<Fixed>(shape.n, rng), r % 2 == 0);
+      expected[r] = ref_forward<Fixed>(float_net, discriminator.net(),
+                                       reference_features(
+                                           discriminator.frontend(),
+                                           dataset.trace(r), shape.n))
+                        .raw();
+    }
+    const std::string where = " N=" + std::to_string(shape.n) +
+                              " G=" + std::to_string(shape.groups);
+
+    hw::discriminator_scratch<Fixed> scratch;
+    std::vector<Fixed> block(shots);
+    discriminator.logits_block(dataset, 0, shots, block, scratch);
+    std::vector<Fixed> pooled(shots);
+    discriminator.logits(dataset, pooled);
+    for (std::size_t r = 0; r < shots; ++r) {
+      ASSERT_EQ(block[r].raw(), expected[r]) << "block" << where << " " << r;
+      ASSERT_EQ(pooled[r].raw(), expected[r]) << "logits" << where << " " << r;
+      ASSERT_EQ(discriminator.logit(dataset.trace(r), shape.n, scratch).raw(),
+                expected[r])
+          << "logit" << where << " row " << r;
+    }
+    for (const std::size_t lanes : {1, 7, 64}) {
+      std::vector<const data::trace_dataset*> sets(lanes, &dataset);
+      std::vector<std::size_t> rows(lanes);
+      for (std::size_t s = 0; s < lanes; ++s) rows[s] = (7 * s + 3) % shots;
+      std::vector<Fixed> packed(lanes);
+      discriminator.logits_lanes(sets.data(), rows.data(), lanes, packed,
+                                 scratch);
+      for (std::size_t s = 0; s < lanes; ++s) {
+        ASSERT_EQ(packed[s].raw(), expected[rows[s]])
+            << "lanes=" << lanes << where << " lane " << s;
+      }
     }
   }
-  hw::quantized_scratch<Fixed> scratch;
-  std::vector<Fixed> batched(inputs.rows());
-  net.forward_logits(inputs, batched, scratch);
-  for (std::size_t r = 0; r < inputs.rows(); ++r) {
-    ASSERT_EQ(batched[r].raw(),
-              ref_forward<Fixed>(float_net, net, inputs.row(r)).raw())
-        << "row " << r;
+}
+
+// Every single-shot entry point reads the trace through raw pointers, so
+// each must reject a trace that is not 2N samples wide.
+TEST(EntryPointGuards, SingleShotRejectsWrongTraceWidth) {
+  xoshiro256 rng(53);
+  const frontend_case shape{97, 10, true};
+  const dsp::feature_pipeline pipeline =
+      adversarial_pipeline<q16_16>(shape, rng);
+  auto float_net = nn::make_mlp(pipeline.output_width(), {16, 8});
+  float_net.initialize(nn::weight_init::he_normal, rng);
+  const kd::student_model student(pipeline, float_net);
+  const hw::fixed_discriminator<q16_16> q16(student);
+  const hw::fixed_discriminator<fx::q24_24> q24(student);
+  for (const std::size_t width : {2 * shape.n - 1, 2 * shape.n + 1}) {
+    const std::vector<float> trace(width, 0.25f);
+    EXPECT_THROW(student.logit(trace, shape.n), invalid_argument_error);
+    EXPECT_THROW(student.predict_state(trace, shape.n),
+                 invalid_argument_error);
+    EXPECT_THROW(q16.logit(trace, shape.n), invalid_argument_error);
+    EXPECT_THROW(q24.logit(trace, shape.n), invalid_argument_error);
   }
+  const std::vector<float> good(2 * shape.n, 0.25f);
+  EXPECT_NO_THROW(student.logit(good, shape.n));
+  EXPECT_NO_THROW(q16.logit(good, shape.n));
+  EXPECT_NO_THROW(q24.logit(good, shape.n));
 }
 
 }  // namespace
