@@ -7,7 +7,10 @@
 // (FNN-B's first layer), 64-shot tiles, 1000-sample traces, and front-end
 // tiles of 1, 8 and 64 shots with 15 (FNN-A) or 100 (FNN-B) AVG groups.
 // The reference rows quantify exactly what the int64 post-scaler buys over
-// the int128 round-shift.
+// the int128 round-shift. Plain rows draw weights and taps up to 2^(T-3)
+// raw, so every product takes the clamped post-scaler; the *InRange rows
+// draw them inside (-1, 1), as trained students have them, so the kernels
+// run without the per-product clamp (fx::kernels::products_in_range).
 //
 // Machine-readable snapshot:
 //   bench_fixed_kernels --benchmark_out=BENCH_fixed.json
@@ -43,6 +46,25 @@ std::vector<std::int32_t> random_raws(std::size_t n, std::uint64_t seed) {
   return raws;
 }
 
+/// Registers inside (-1, 1): they pass products_in_range.
+template <class Fixed>
+std::vector<std::int32_t> in_range_raws(std::size_t n, std::uint64_t seed) {
+  xoshiro256 rng(seed);
+  const double limit =
+      static_cast<double>((std::int64_t{1} << Fixed::frac_bits) - 1);
+  std::vector<std::int32_t> raws(n);
+  for (auto& raw : raws) {
+    raw = static_cast<std::int32_t>(rng.uniform(-limit, limit));
+  }
+  return raws;
+}
+
+/// The weights (or taps) of a bench row: in range or full range.
+template <class Fixed, bool InRange>
+std::vector<std::int32_t> bench_weights(std::size_t n, std::uint64_t seed) {
+  return InRange ? in_range_raws<Fixed>(n, seed) : random_raws<Fixed>(n, seed);
+}
+
 // --- mac_row: one 201-wide neuron row --------------------------------------
 
 template <class Fixed>
@@ -60,34 +82,40 @@ void BM_MacRowReference(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
-template <class Fixed, auto MacRow>
+template <class Fixed, auto MacRow, bool InRange>
 void BM_MacRowKernel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto weights = random_raws<Fixed>(n, 1);
+  const auto weights = bench_weights<Fixed, InRange>(n, 1);
   const auto inputs = random_raws<Fixed>(n, 2);
   const auto spec = kernels::spec_of<Fixed>();
+  const bool in_range = kernels::products_in_range(weights.data(), n, spec);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        MacRow(weights.data(), inputs.data(), n, 0, spec));
+        MacRow(weights.data(), inputs.data(), n, 0, in_range, spec));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
 // --- mac_tile: one layer over a 64-shot tile -------------------------------
 
-template <class Fixed, auto MacTile>
+template <class Fixed, auto MacTile, bool InRange>
 void BM_MacTileKernel(benchmark::State& state) {
   constexpr std::size_t stride = kernels::max_tile_lanes;
   const auto out_dim = static_cast<std::size_t>(state.range(0));
   const auto in_dim = static_cast<std::size_t>(state.range(1));
-  const auto weights = random_raws<Fixed>(out_dim * in_dim, 3);
+  const auto weights = bench_weights<Fixed, InRange>(out_dim * in_dim, 3);
   const auto bias = random_raws<Fixed>(out_dim, 4);
   const auto plane = random_raws<Fixed>(in_dim * stride, 5);
   std::vector<std::int32_t> out(out_dim * stride);
   const auto spec = kernels::spec_of<Fixed>();
+  std::vector<std::uint8_t> rows_in_range(out_dim);
+  for (std::size_t o = 0; o < out_dim; ++o) {
+    rows_in_range[o] = kernels::products_in_range(
+        weights.data() + o * in_dim, in_dim, spec);
+  }
   for (auto _ : state) {
-    MacTile(weights.data(), bias.data(), out_dim, in_dim, plane.data(),
-            stride, stride, true, out.data(), spec);
+    MacTile(weights.data(), bias.data(), rows_in_range.data(), out_dim,
+            in_dim, plane.data(), stride, stride, true, out.data(), spec);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -134,7 +162,7 @@ void BM_QuantizeBlockKernel(benchmark::State& state) {
 /// Front end over N = 500 complex samples with `groups` AVG groups per
 /// quadrature and an MF envelope; NORM exponents mix both shift signs, as
 /// fitted front ends do.
-template <class Fixed, auto FrontendTile>
+template <class Fixed, auto FrontendTile, bool InRange>
 void BM_FrontendTileKernel(benchmark::State& state) {
   constexpr std::size_t n = 500;
   const auto groups = static_cast<std::size_t>(state.range(0));
@@ -155,7 +183,7 @@ void BM_FrontendTileKernel(benchmark::State& state) {
     reciprocal[g] = static_cast<std::int32_t>(
         Fixed::from_double(1.0 / static_cast<double>(length)).raw());
   }
-  const auto envelope = random_raws<Fixed>(2 * n, 8);
+  const auto envelope = bench_weights<Fixed, InRange>(2 * n, 8);
   const auto x_min = random_raws<Fixed>(width, 9);
   std::vector<int> shift(width);
   for (std::size_t c = 0; c < width; ++c) {
@@ -166,6 +194,11 @@ void BM_FrontendTileKernel(benchmark::State& state) {
                                         .group_end = group_end.data(),
                                         .reciprocal = reciprocal.data(),
                                         .envelope = envelope.data(),
+                                        .taps_in_range =
+                                            kernels::products_in_range(
+                                                envelope.data(),
+                                                envelope.size(),
+                                                kernels::spec_of<Fixed>()),
                                         .x_min = x_min.data(),
                                         .shift = shift.data()};
   constexpr std::size_t stride = kernels::max_tile_lanes;
@@ -182,26 +215,33 @@ void BM_FrontendTileKernel(benchmark::State& state) {
 }
 
 #define KLINQ_FRONTEND_BENCHES(Fixed, tag, tier)                              \
-  BENCHMARK((BM_FrontendTileKernel<Fixed, kernels::tier::frontend_tile>))     \
+  BENCHMARK(                                                                  \
+      (BM_FrontendTileKernel<Fixed, kernels::tier::frontend_tile, false>))    \
       ->Name("BM_FrontendTile_" #tier "_" tag)                                \
       ->ArgNames({"groups", "lanes"})                                         \
+      ->ArgsProduct({{15, 100}, {1, 8, 64}});                                 \
+  BENCHMARK(                                                                  \
+      (BM_FrontendTileKernel<Fixed, kernels::tier::frontend_tile, true>))     \
+      ->Name("BM_FrontendTileInRange_" #tier "_" tag)                         \
+      ->ArgNames({"groups", "lanes"})                                         \
       ->ArgsProduct({{15, 100}, {1, 8, 64}})
+
+#define KLINQ_MAC_BENCHES(Fixed, tag, tier)                                   \
+  BENCHMARK((BM_MacRowKernel<Fixed, kernels::tier::mac_row, false>))          \
+      ->Name("BM_MacRow_" #tier "_" tag)->Arg(201);                           \
+  BENCHMARK((BM_MacRowKernel<Fixed, kernels::tier::mac_row, true>))           \
+      ->Name("BM_MacRowInRange_" #tier "_" tag)->Arg(201);                    \
+  BENCHMARK((BM_MacTileKernel<Fixed, kernels::tier::mac_tile, false>))        \
+      ->Name("BM_MacTile_" #tier "_" tag)->Args({16, 201});                   \
+  BENCHMARK((BM_MacTileKernel<Fixed, kernels::tier::mac_tile, true>))         \
+      ->Name("BM_MacTileInRange_" #tier "_" tag)->Args({16, 201})
 
 #define KLINQ_KERNEL_BENCHES(Fixed, tag)                                      \
   BENCHMARK(BM_MacRowReference<Fixed>)->Name("BM_MacRow_int128ref_" tag)      \
       ->Arg(201);                                                             \
-  BENCHMARK((BM_MacRowKernel<Fixed, kernels::scalar64::mac_row>))             \
-      ->Name("BM_MacRow_scalar64_" tag)->Arg(201);                            \
-  BENCHMARK((BM_MacRowKernel<Fixed, kernels::avx2::mac_row>))                 \
-      ->Name("BM_MacRow_avx2_" tag)->Arg(201);                                \
-  BENCHMARK((BM_MacRowKernel<Fixed, kernels::avx512::mac_row>))               \
-      ->Name("BM_MacRow_avx512_" tag)->Arg(201);                              \
-  BENCHMARK((BM_MacTileKernel<Fixed, kernels::scalar64::mac_tile>))           \
-      ->Name("BM_MacTile_scalar64_" tag)->Args({16, 201});                    \
-  BENCHMARK((BM_MacTileKernel<Fixed, kernels::avx2::mac_tile>))               \
-      ->Name("BM_MacTile_avx2_" tag)->Args({16, 201});                        \
-  BENCHMARK((BM_MacTileKernel<Fixed, kernels::avx512::mac_tile>))             \
-      ->Name("BM_MacTile_avx512_" tag)->Args({16, 201});                      \
+  KLINQ_MAC_BENCHES(Fixed, tag, scalar64);                                    \
+  KLINQ_MAC_BENCHES(Fixed, tag, avx2);                                        \
+  KLINQ_MAC_BENCHES(Fixed, tag, avx512);                                      \
   BENCHMARK(BM_QuantizeBlockReference<Fixed>)                                 \
       ->Name("BM_QuantizeBlock_ref_" tag)->Arg(1000);                         \
   BENCHMARK((BM_QuantizeBlockKernel<Fixed, kernels::scalar64::quantize_block>))\

@@ -17,9 +17,15 @@
 //
 // computed on the magnitude so negative exact multiples stay exact — the
 // same tie rule fixed::round_shift_right implements in int128. Kernels
-// accumulate the clamped products in plain int64 (the wide adder tree;
-// integer addition is exact, so any summation order is bit-identical) and
-// saturate once at extraction, exactly like fixed_accumulator.
+// accumulate the products in plain int64 (the wide adder tree; integer
+// addition is exact, so any summation order is bit-identical) and saturate
+// once at extraction, exactly like fixed_accumulator.
+//
+// The per-product clamp runs only where it can fire. A weight row (or the
+// MF envelope) whose registers all satisfy |w| <= 2^F - 1 cannot produce a
+// product past the rails (products_in_range states the proof), so callers
+// compute that fact once from the parameters and the kernels drop the
+// clamp for those rows. Results are bit-identical either way.
 //
 // Three implementation tiers share this contract: a scalar int64 path any
 // host runs, an AVX2 path (4 x int64 lanes) and an AVX-512 path (8 x int64
@@ -74,28 +80,57 @@ constexpr mac_spec spec_or_default() noexcept {
 /// tile); callers must keep `tile <= max_tile_lanes <= stride`.
 inline constexpr std::size_t max_tile_lanes = 64;
 
-/// The branchless DSP post-scaler: round a full-precision product back to F
-/// fractional bits (ties away from zero, on the magnitude) and clamp to the
-/// format rails. Bit-identical to fixed::operator* whenever
-/// |product| <= 2^62 — guaranteed for every fast-path format.
-constexpr std::int64_t round_shift_clamp(std::int64_t product, int frac_bits,
-                                         std::int64_t raw_min,
-                                         std::int64_t raw_max) noexcept {
-  const std::int64_t sign = product >> 63;  // 0 or -1
-  const std::int64_t magnitude = (product ^ sign) - sign;
-  const std::int64_t half =
-      frac_bits > 0 ? std::int64_t{1} << (frac_bits - 1) : 0;
-  const std::int64_t rounded = (magnitude + half) >> frac_bits;
-  const std::int64_t value = (rounded ^ sign) - sign;
-  const std::int64_t low = value < raw_min ? raw_min : value;
-  return low > raw_max ? raw_max : low;
-}
-
 /// Single saturation at the adder-tree root (fixed_accumulator::result).
 constexpr std::int64_t clamp_raw(std::int64_t value, std::int64_t raw_min,
                                  std::int64_t raw_max) noexcept {
   const std::int64_t low = value < raw_min ? raw_min : value;
   return low > raw_max ? raw_max : low;
+}
+
+/// The branchless DSP post-scaler without its rails: round a full-precision
+/// product back to F fractional bits (ties away from zero, on the
+/// magnitude). Exact for |product| <= 2^62.
+constexpr std::int64_t round_shift(std::int64_t product,
+                                   int frac_bits) noexcept {
+  const std::int64_t sign = product >> 63;  // 0 or -1
+  const std::int64_t magnitude = (product ^ sign) - sign;
+  const std::int64_t half =
+      frac_bits > 0 ? std::int64_t{1} << (frac_bits - 1) : 0;
+  const std::int64_t rounded = (magnitude + half) >> frac_bits;
+  return (rounded ^ sign) - sign;
+}
+
+/// The full DSP post-scaler: round_shift, then clamp to the format rails.
+/// Bit-identical to fixed::operator* whenever |product| <= 2^62 —
+/// guaranteed for every fast-path format.
+constexpr std::int64_t round_shift_clamp(std::int64_t product, int frac_bits,
+                                         std::int64_t raw_min,
+                                         std::int64_t raw_max) noexcept {
+  return clamp_raw(round_shift(product, frac_bits), raw_min, raw_max);
+}
+
+/// The row proof: true iff every weight register satisfies
+/// |w_raw| <= 2^F - 1 (|w| < 1). Then no product of a weight with any
+/// register of the format can pass the rails, so the per-product clamp of
+/// round_shift_clamp is a no-op and round_shift alone is bit-identical.
+///
+/// Proof. Let T = I + F. Every register has |x_raw| <= 2^(T-1), so
+/// |w_raw * x_raw| <= (2^F - 1) * 2^(T-1) = 2^(T-1+F) - 2^(T-1). Rounding
+/// to nearest is monotone in the magnitude, and that bound is an exact
+/// multiple of 2^F when T-1 >= F (I >= 1; fixed<I,F> requires I >= 2), so
+/// the rounded magnitude is at most 2^(T-1) - 2^(T-1-F) <= 2^(T-1) - 1 =
+/// raw_max < -raw_min. Both signs stay inside the rails. QED.
+///
+/// Weights are widened before the magnitude test, so raw_min (-2^31 for
+/// Q16.16) is handled without overflow.
+constexpr bool products_in_range(const std::int32_t* w, std::size_t n,
+                                 const mac_spec& spec) noexcept {
+  const std::int64_t limit = (std::int64_t{1} << spec.frac_bits) - 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t raw = w[i];
+    if (raw > limit || raw < -limit) return false;
+  }
+  return true;
 }
 
 /// One ADC sample through the input quantizer: bit-identical to
@@ -175,6 +210,8 @@ struct frontend_spec {
   const std::int32_t* reciprocal = nullptr;
   /// 2N raw matched-filter taps; nullptr when the front end has no MF.
   const std::int32_t* envelope = nullptr;
+  /// products_in_range over the 2N taps: the MF products skip the clamp.
+  bool taps_in_range = false;
   /// width() raw NORM offsets and σ exponents (k > 0 shifts right).
   const std::int32_t* x_min = nullptr;
   const int* shift = nullptr;
@@ -186,14 +223,21 @@ struct frontend_spec {
 //   mac_row        one neuron's MAC: sum_i round_shift_clamp(w[i] * x[i])
 //                  over contiguous raw rows, plus bias_raw, saturated once.
 //                  Returns the raw register (no activation applied).
+//                  `in_range` must be products_in_range(weights, n, spec);
+//                  when set the products skip the clamp.
 //
 //   mac_tile       one layer over a shot tile. `weights` is (out_dim x
-//                  in_dim) row-major, `bias` has out_dim entries. Planes are
-//                  feature-major: shot s of feature i lives at
-//                  plane[i * stride + s]; lanes s in [0, tile) are written,
-//                  lanes beyond `tile` are neither read nor written.
-//                  Requires tile <= max_tile_lanes and tile <= stride.
-//                  `relu` applies the RTL's sign-bit ReLU to every output.
+//                  in_dim) row-major, `bias` and `rows_in_range` have
+//                  out_dim entries; rows_in_range[o] must be
+//                  products_in_range of row o. Planes are feature-major:
+//                  shot s of feature i lives at plane[i * stride + s];
+//                  lanes s in [0, tile) are written, lanes beyond `tile`
+//                  are neither read nor written. Requires
+//                  tile <= max_tile_lanes and tile <= stride. `relu`
+//                  applies the RTL's sign-bit ReLU to every output. Rows
+//                  run in blocks of 4 (each input lane is loaded once per
+//                  block); a block skips the per-product clamp only when
+//                  all of its rows are in range.
 //
 //   quantize_block float samples -> raw registers, bit-identical to
 //                  Fixed::from_double per element (round to nearest, ties
@@ -205,9 +249,10 @@ struct frontend_spec {
 //                  to its group's int64 sum and, with an MF envelope,
 //                  multiplied through the post-scaler into the MF sum; each
 //                  group's sum becomes its feature through average_raw, and
-//                  every feature goes through normalize_raw. Feature c of
-//                  shot s lands at plane[c * stride + s]; lanes s in
-//                  [0, lanes) are written, nothing else. Requires
+//                  every feature goes through normalize_raw. MF products
+//                  skip the clamp when `frontend.taps_in_range` is set.
+//                  Feature c of shot s lands at plane[c * stride + s];
+//                  lanes s in [0, lanes) are written, nothing else. Requires
 //                  lanes <= stride. SIMD tiers hold one shot per int64 lane
 //                  and transpose the traces in registers; a SIMD block with
 //                  too few shots to fill it runs them one at a time, with
@@ -218,14 +263,14 @@ struct frontend_spec {
 namespace scalar64 {
 
 std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw,
+                     std::size_t n, std::int64_t bias_raw, bool in_range,
                      const mac_spec& spec) noexcept;
 
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              std::size_t out_dim, std::size_t in_dim,
-              const std::int32_t* in_plane, std::size_t tile,
-              std::size_t stride, bool relu, std::int32_t* out_plane,
-              const mac_spec& spec) noexcept;
+              const std::uint8_t* rows_in_range, std::size_t out_dim,
+              std::size_t in_dim, const std::int32_t* in_plane,
+              std::size_t tile, std::size_t stride, bool relu,
+              std::int32_t* out_plane, const mac_spec& spec) noexcept;
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept;
@@ -244,14 +289,14 @@ void frontend_tile(const float* const* traces, std::size_t lanes,
 namespace avx2 {
 
 std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw,
+                     std::size_t n, std::int64_t bias_raw, bool in_range,
                      const mac_spec& spec) noexcept;
 
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              std::size_t out_dim, std::size_t in_dim,
-              const std::int32_t* in_plane, std::size_t tile,
-              std::size_t stride, bool relu, std::int32_t* out_plane,
-              const mac_spec& spec) noexcept;
+              const std::uint8_t* rows_in_range, std::size_t out_dim,
+              std::size_t in_dim, const std::int32_t* in_plane,
+              std::size_t tile, std::size_t stride, bool relu,
+              std::int32_t* out_plane, const mac_spec& spec) noexcept;
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept;
@@ -269,14 +314,14 @@ void frontend_tile(const float* const* traces, std::size_t lanes,
 namespace avx512 {
 
 std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw,
+                     std::size_t n, std::int64_t bias_raw, bool in_range,
                      const mac_spec& spec) noexcept;
 
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              std::size_t out_dim, std::size_t in_dim,
-              const std::int32_t* in_plane, std::size_t tile,
-              std::size_t stride, bool relu, std::int32_t* out_plane,
-              const mac_spec& spec) noexcept;
+              const std::uint8_t* rows_in_range, std::size_t out_dim,
+              std::size_t in_dim, const std::int32_t* in_plane,
+              std::size_t tile, std::size_t stride, bool relu,
+              std::int32_t* out_plane, const mac_spec& spec) noexcept;
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept;
@@ -297,14 +342,14 @@ bool avx512_available() noexcept;
 // --- dispatched entry points (tier resolved once per process) --------------
 
 std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw,
+                     std::size_t n, std::int64_t bias_raw, bool in_range,
                      const mac_spec& spec) noexcept;
 
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              std::size_t out_dim, std::size_t in_dim,
-              const std::int32_t* in_plane, std::size_t tile,
-              std::size_t stride, bool relu, std::int32_t* out_plane,
-              const mac_spec& spec) noexcept;
+              const std::uint8_t* rows_in_range, std::size_t out_dim,
+              std::size_t in_dim, const std::int32_t* in_plane,
+              std::size_t tile, std::size_t stride, bool relu,
+              std::int32_t* out_plane, const mac_spec& spec) noexcept;
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept;

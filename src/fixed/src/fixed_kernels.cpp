@@ -9,62 +9,114 @@
 
 namespace klinq::fx::kernels {
 
+namespace {
+
+/// Rows per mac_tile block: each input lane is loaded once for this many
+/// neurons.
+constexpr std::size_t kRowBlock = 4;
+
+/// The post-scaler a product takes: the rails only where the row proof
+/// (products_in_range) failed.
+template <bool Clamp>
+constexpr std::int64_t post_scale(std::int64_t product,
+                                  const mac_spec& spec) noexcept {
+  if constexpr (Clamp) {
+    return round_shift_clamp(product, spec.frac_bits, spec.raw_min,
+                             spec.raw_max);
+  } else {
+    return round_shift(product, spec.frac_bits);
+  }
+}
+
+/// True when every row of a block passed products_in_range, so the whole
+/// block may run without the per-product clamp.
+inline bool block_in_range(const std::uint8_t* rows_in_range,
+                           std::size_t rows) noexcept {
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (rows_in_range[r] == 0) return false;
+  }
+  return true;
+}
+
+/// One mac_tile call's shot geometry, shared by its row blocks.
+struct tile_args {
+  std::size_t in_dim;
+  const std::int32_t* in_plane;
+  std::size_t tile;
+  std::size_t stride;
+  bool relu;
+};
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // scalar64 tier
 // ---------------------------------------------------------------------------
 
 namespace scalar64 {
 
-std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw,
-                     const mac_spec& spec) noexcept {
+namespace {
+
+template <bool Clamp>
+std::int64_t mac_row_impl(const std::int32_t* weights,
+                          const std::int32_t* inputs, std::size_t n,
+                          std::int64_t bias_raw,
+                          const mac_spec& spec) noexcept {
   std::int64_t acc = bias_raw;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t product =
-        static_cast<std::int64_t>(weights[i]) * inputs[i];
-    acc += round_shift_clamp(product, spec.frac_bits, spec.raw_min,
-                             spec.raw_max);
+    acc += post_scale<Clamp>(static_cast<std::int64_t>(weights[i]) * inputs[i],
+                             spec);
   }
   return clamp_raw(acc, spec.raw_min, spec.raw_max);
 }
 
-void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              std::size_t out_dim, std::size_t in_dim,
-              const std::int32_t* in_plane, std::size_t tile,
-              std::size_t stride, bool relu, std::int32_t* out_plane,
+/// `Rows` neurons of mac_tile over the whole tile. Shot-inner accumulation:
+/// each input lane is read once for the block, and the compiler
+/// SLP-vectorizes the shot loop on its own.
+template <std::size_t Rows, bool Clamp>
+void mac_rows(const std::int32_t* weights, const std::int32_t* bias,
+              std::int32_t* out, const tile_args& t,
               const mac_spec& spec) noexcept {
-  // Shot-inner accumulation: one weight broadcast serves every lane of the
-  // tile, and the compiler SLP-vectorizes the inner loop on its own.
-  std::int64_t acc[max_tile_lanes];
-  for (std::size_t neuron = 0; neuron < out_dim; ++neuron) {
-    const std::int32_t* weight_row = weights + neuron * in_dim;
-    const std::int64_t bias_raw = bias[neuron];
-    for (std::size_t s = 0; s < tile; ++s) acc[s] = bias_raw;
-    for (std::size_t i = 0; i < in_dim; ++i) {
-      const std::int64_t w = weight_row[i];
-      const std::int32_t* lane = in_plane + i * stride;
-      for (std::size_t s = 0; s < tile; ++s) {
-        acc[s] += round_shift_clamp(w * lane[s], spec.frac_bits, spec.raw_min,
-                                    spec.raw_max);
+  std::int64_t acc[Rows][max_tile_lanes];
+  for (std::size_t r = 0; r < Rows; ++r) {
+    for (std::size_t s = 0; s < t.tile; ++s) acc[r][s] = bias[r];
+  }
+  for (std::size_t i = 0; i < t.in_dim; ++i) {
+    std::int64_t w[Rows];
+    for (std::size_t r = 0; r < Rows; ++r) w[r] = weights[r * t.in_dim + i];
+    const std::int32_t* lane = t.in_plane + i * t.stride;
+    for (std::size_t s = 0; s < t.tile; ++s) {
+      const std::int64_t x = lane[s];
+      for (std::size_t r = 0; r < Rows; ++r) {
+        acc[r][s] += post_scale<Clamp>(w[r] * x, spec);
       }
     }
-    std::int32_t* out_row = out_plane + neuron * stride;
-    for (std::size_t s = 0; s < tile; ++s) {
-      std::int64_t value = clamp_raw(acc[s], spec.raw_min, spec.raw_max);
-      if (relu && value < 0) value = 0;
+  }
+  for (std::size_t r = 0; r < Rows; ++r) {
+    std::int32_t* out_row = out + r * t.stride;
+    for (std::size_t s = 0; s < t.tile; ++s) {
+      std::int64_t value = clamp_raw(acc[r][s], spec.raw_min, spec.raw_max);
+      if (t.relu && value < 0) value = 0;
       out_row[s] = static_cast<std::int32_t>(value);
     }
   }
 }
 
-void quantize_block(const float* values, std::size_t n, std::int32_t* out,
-                    const mac_spec& spec) noexcept {
-  for (std::size_t i = 0; i < n; ++i) out[i] = quantize_raw(values[i], spec);
+template <std::size_t Rows>
+void mac_rows(const std::int32_t* weights, const std::int32_t* bias,
+              bool in_range, std::int32_t* out, const tile_args& t,
+              const mac_spec& spec) noexcept {
+  if (in_range) {
+    mac_rows<Rows, false>(weights, bias, out, t, spec);
+  } else {
+    mac_rows<Rows, true>(weights, bias, out, t, spec);
+  }
 }
 
-void frontend_tile(const float* const* traces, std::size_t lanes,
-                   const frontend_spec& frontend, std::int32_t* plane,
-                   std::size_t stride, const mac_spec& spec) noexcept {
+template <bool ClampTaps>
+void frontend_tile_impl(const float* const* traces, std::size_t lanes,
+                        const frontend_spec& frontend, std::int32_t* plane,
+                        std::size_t stride, const mac_spec& spec) noexcept {
   const std::size_t n = frontend.samples;
   const std::size_t groups = frontend.groups;
   const std::int32_t* envelope = frontend.envelope;
@@ -81,10 +133,7 @@ void frontend_tile(const float* const* traces, std::size_t lanes,
         for (std::size_t i = begin; i < end; ++i) {
           const std::int64_t x = quantize_raw(samples[i], spec);
           sum += x;
-          if (taps != nullptr) {
-            mf += round_shift_clamp(taps[i] * x, spec.frac_bits, spec.raw_min,
-                                    spec.raw_max);
-          }
+          if (taps != nullptr) mf += post_scale<ClampTaps>(taps[i] * x, spec);
         }
         begin = end;
         const std::size_t c = quadrature * groups + g;
@@ -102,6 +151,48 @@ void frontend_tile(const float* const* traces, std::size_t lanes,
   }
 }
 
+}  // namespace
+
+std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
+                     std::size_t n, std::int64_t bias_raw, bool in_range,
+                     const mac_spec& spec) noexcept {
+  return in_range ? mac_row_impl<false>(weights, inputs, n, bias_raw, spec)
+                  : mac_row_impl<true>(weights, inputs, n, bias_raw, spec);
+}
+
+void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
+              const std::uint8_t* rows_in_range, std::size_t out_dim,
+              std::size_t in_dim, const std::int32_t* in_plane,
+              std::size_t tile, std::size_t stride, bool relu,
+              std::int32_t* out_plane, const mac_spec& spec) noexcept {
+  const tile_args t{in_dim, in_plane, tile, stride, relu};
+  std::size_t row = 0;
+  for (; row + kRowBlock <= out_dim; row += kRowBlock) {
+    mac_rows<kRowBlock>(weights + row * in_dim, bias + row,
+                        block_in_range(rows_in_range + row, kRowBlock),
+                        out_plane + row * stride, t, spec);
+  }
+  for (; row < out_dim; ++row) {
+    mac_rows<1>(weights + row * in_dim, bias + row, rows_in_range[row] != 0,
+                out_plane + row * stride, t, spec);
+  }
+}
+
+void quantize_block(const float* values, std::size_t n, std::int32_t* out,
+                    const mac_spec& spec) noexcept {
+  for (std::size_t i = 0; i < n; ++i) out[i] = quantize_raw(values[i], spec);
+}
+
+void frontend_tile(const float* const* traces, std::size_t lanes,
+                   const frontend_spec& frontend, std::int32_t* plane,
+                   std::size_t stride, const mac_spec& spec) noexcept {
+  if (frontend.taps_in_range) {
+    frontend_tile_impl<false>(traces, lanes, frontend, plane, stride, spec);
+  } else {
+    frontend_tile_impl<true>(traces, lanes, frontend, plane, stride, spec);
+  }
+}
+
 }  // namespace scalar64
 
 // ---------------------------------------------------------------------------
@@ -115,24 +206,20 @@ namespace {
 // Per-function target("avx2") keeps the rest of the library buildable
 // without -mavx2 while the runtime dispatcher guards execution via cpuid.
 
-/// 4-lane round_shift_clamp: magnitude, biased shift, sign restore, rails.
-__attribute__((target("avx2"))) inline __m256i round_shift_clamp_lanes(
-    __m256i product, __m256i half, __m128i shift, __m256i rail_min,
-    __m256i rail_max) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i sign = _mm256_cmpgt_epi64(zero, product);  // -1 where negative
+/// 4-lane round_shift: magnitude, biased shift, sign restore. AVX2 has no
+/// 64-bit arithmetic shift, so the rounding runs on the magnitude.
+__attribute__((target("avx2"))) inline __m256i round_shift_lanes(
+    __m256i product, __m256i half, __m128i shift) {
+  const __m256i sign =
+      _mm256_cmpgt_epi64(_mm256_setzero_si256(), product);  // -1 if negative
   __m256i magnitude =
       _mm256_sub_epi64(_mm256_xor_si256(product, sign), sign);
   magnitude = _mm256_srl_epi64(_mm256_add_epi64(magnitude, half), shift);
-  __m256i value = _mm256_sub_epi64(_mm256_xor_si256(magnitude, sign), sign);
-  value = _mm256_blendv_epi8(value, rail_max,
-                             _mm256_cmpgt_epi64(value, rail_max));
-  value = _mm256_blendv_epi8(value, rail_min,
-                             _mm256_cmpgt_epi64(rail_min, value));
-  return value;
+  return _mm256_sub_epi64(_mm256_xor_si256(magnitude, sign), sign);
 }
 
-/// Saturate 4 wide accumulator lanes at the adder-tree root.
+/// Saturate 4 int64 lanes to the rails (compare/blend: AVX2 has no 64-bit
+/// min/max).
 __attribute__((target("avx2"))) inline __m256i clamp_lanes(__m256i value,
                                                            __m256i rail_min,
                                                            __m256i rail_max) {
@@ -156,127 +243,14 @@ __attribute__((target("avx2"))) inline __m128i narrow_lanes(__m256i value) {
   return _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(value, index));
 }
 
-__attribute__((target("avx2"))) std::int64_t mac_row_avx2(
-    const std::int32_t* weights, const std::int32_t* inputs, std::size_t n,
-    std::int64_t bias_raw, const mac_spec& spec) noexcept {
-  const __m256i half = _mm256_set1_epi64x(
-      spec.frac_bits > 0 ? std::int64_t{1} << (spec.frac_bits - 1) : 0);
-  const __m128i shift = _mm_cvtsi32_si128(spec.frac_bits);
-  const __m256i rail_min = _mm256_set1_epi64x(spec.raw_min);
-  const __m256i rail_max = _mm256_set1_epi64x(spec.raw_max);
-  // Two accumulators break the add-latency chain on long rows (the 2N-wide
-  // matched-filter MAC); integer addition is exact, so the split is still
-  // bit-identical to any other summation order.
-  __m256i acc_lo = _mm256_setzero_si256();
-  __m256i acc_hi = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i product_lo =
-        _mm256_mul_epi32(load_lanes(weights + i), load_lanes(inputs + i));
-    const __m256i product_hi = _mm256_mul_epi32(load_lanes(weights + i + 4),
-                                                load_lanes(inputs + i + 4));
-    acc_lo = _mm256_add_epi64(
-        acc_lo, round_shift_clamp_lanes(product_lo, half, shift, rail_min,
-                                        rail_max));
-    acc_hi = _mm256_add_epi64(
-        acc_hi, round_shift_clamp_lanes(product_hi, half, shift, rail_min,
-                                        rail_max));
-  }
-  for (; i + 4 <= n; i += 4) {
-    const __m256i product =
-        _mm256_mul_epi32(load_lanes(weights + i), load_lanes(inputs + i));
-    acc_lo = _mm256_add_epi64(
-        acc_lo, round_shift_clamp_lanes(product, half, shift, rail_min,
-                                        rail_max));
-  }
-  const __m256i acc = _mm256_add_epi64(acc_lo, acc_hi);
-  alignas(32) std::int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::int64_t sum = bias_raw + lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) {
-    sum += round_shift_clamp(static_cast<std::int64_t>(weights[i]) * inputs[i],
-                             spec.frac_bits, spec.raw_min, spec.raw_max);
-  }
-  return clamp_raw(sum, spec.raw_min, spec.raw_max);
+/// Mask selecting the first `count` of 4 int32/float lanes.
+__attribute__((target("avx2"))) inline __m128i first_lanes_mask(
+    std::size_t count) {
+  return _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(count)),
+                         _mm_setr_epi32(0, 1, 2, 3));
 }
 
-__attribute__((target("avx2"))) void mac_tile_avx2(
-    const std::int32_t* weights, const std::int32_t* bias, std::size_t out_dim,
-    std::size_t in_dim, const std::int32_t* in_plane, std::size_t tile,
-    std::size_t stride, bool relu, std::int32_t* out_plane,
-    const mac_spec& spec) noexcept {
-  const __m256i half = _mm256_set1_epi64x(
-      spec.frac_bits > 0 ? std::int64_t{1} << (spec.frac_bits - 1) : 0);
-  const __m128i shift = _mm_cvtsi32_si128(spec.frac_bits);
-  const __m256i rail_min = _mm256_set1_epi64x(spec.raw_min);
-  const __m256i rail_max = _mm256_set1_epi64x(spec.raw_max);
-  const __m256i zero = _mm256_setzero_si256();
-  for (std::size_t neuron = 0; neuron < out_dim; ++neuron) {
-    const std::int32_t* weight_row = weights + neuron * in_dim;
-    const __m256i bias_lanes = _mm256_set1_epi64x(bias[neuron]);
-    std::int32_t* out_row = out_plane + neuron * stride;
-    std::size_t s = 0;
-    // 8 shots per pass (two accumulators) amortizes the weight broadcast.
-    for (; s + 8 <= tile; s += 8) {
-      __m256i acc_lo = bias_lanes;
-      __m256i acc_hi = bias_lanes;
-      const std::int32_t* column = in_plane + s;
-      for (std::size_t i = 0; i < in_dim; ++i) {
-        const __m256i w = _mm256_set1_epi64x(weight_row[i]);
-        const std::int32_t* lane = column + i * stride;
-        acc_lo = _mm256_add_epi64(
-            acc_lo,
-            round_shift_clamp_lanes(_mm256_mul_epi32(w, load_lanes(lane)),
-                                    half, shift, rail_min, rail_max));
-        acc_hi = _mm256_add_epi64(
-            acc_hi,
-            round_shift_clamp_lanes(_mm256_mul_epi32(w, load_lanes(lane + 4)),
-                                    half, shift, rail_min, rail_max));
-      }
-      acc_lo = clamp_lanes(acc_lo, rail_min, rail_max);
-      acc_hi = clamp_lanes(acc_hi, rail_min, rail_max);
-      if (relu) {
-        acc_lo = _mm256_andnot_si256(_mm256_cmpgt_epi64(zero, acc_lo), acc_lo);
-        acc_hi = _mm256_andnot_si256(_mm256_cmpgt_epi64(zero, acc_hi), acc_hi);
-      }
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out_row + s),
-                       narrow_lanes(acc_lo));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out_row + s + 4),
-                       narrow_lanes(acc_hi));
-    }
-    for (; s + 4 <= tile; s += 4) {
-      __m256i acc = bias_lanes;
-      const std::int32_t* column = in_plane + s;
-      for (std::size_t i = 0; i < in_dim; ++i) {
-        const __m256i w = _mm256_set1_epi64x(weight_row[i]);
-        acc = _mm256_add_epi64(
-            acc, round_shift_clamp_lanes(
-                     _mm256_mul_epi32(w, load_lanes(column + i * stride)),
-                     half, shift, rail_min, rail_max));
-      }
-      acc = clamp_lanes(acc, rail_min, rail_max);
-      if (relu) {
-        acc = _mm256_andnot_si256(_mm256_cmpgt_epi64(zero, acc), acc);
-      }
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out_row + s),
-                       narrow_lanes(acc));
-    }
-    for (; s < tile; ++s) {
-      std::int64_t acc = bias[neuron];
-      const std::int32_t* column = in_plane + s;
-      for (std::size_t i = 0; i < in_dim; ++i) {
-        acc += round_shift_clamp(
-            static_cast<std::int64_t>(weight_row[i]) * column[i * stride],
-            spec.frac_bits, spec.raw_min, spec.raw_max);
-      }
-      std::int64_t value = clamp_raw(acc, spec.raw_min, spec.raw_max);
-      if (relu && value < 0) value = 0;
-      out_row[s] = static_cast<std::int32_t>(value);
-    }
-  }
-}
-
-/// Broadcast constants of the AVX2 quantizer and front end.
+/// Broadcast constants of the AVX2 kernels.
 struct lanes256_consts {
   __m256d scale;
   __m256d rail_min_pd;
@@ -304,6 +278,155 @@ __attribute__((target("avx2"))) inline lanes256_consts make_lanes256_consts(
       .rail_min = _mm256_set1_epi64x(spec.raw_min),
       .rail_max = _mm256_set1_epi64x(spec.raw_max),
   };
+}
+
+/// post_scale over 4 lanes.
+template <bool Clamp>
+__attribute__((target("avx2"))) inline __m256i post_scale256(
+    __m256i product, const lanes256_consts& k) {
+  const __m256i value = round_shift_lanes(product, k.half, k.frac_shift);
+  if constexpr (Clamp) {
+    return clamp_lanes(value, k.rail_min, k.rail_max);
+  } else {
+    return value;
+  }
+}
+
+template <bool Clamp>
+__attribute__((target("avx2"))) std::int64_t mac_row_avx2(
+    const std::int32_t* weights, const std::int32_t* inputs, std::size_t n,
+    std::int64_t bias_raw, const mac_spec& spec) noexcept {
+  const lanes256_consts k = make_lanes256_consts(spec);
+  // Two accumulators break the add-latency chain on long rows (the 2N-wide
+  // matched-filter MAC); integer addition is exact, so the split is still
+  // bit-identical to any other summation order.
+  __m256i acc_lo = _mm256_setzero_si256();
+  __m256i acc_hi = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i product_lo =
+        _mm256_mul_epi32(load_lanes(weights + i), load_lanes(inputs + i));
+    const __m256i product_hi = _mm256_mul_epi32(load_lanes(weights + i + 4),
+                                                load_lanes(inputs + i + 4));
+    acc_lo = _mm256_add_epi64(acc_lo, post_scale256<Clamp>(product_lo, k));
+    acc_hi = _mm256_add_epi64(acc_hi, post_scale256<Clamp>(product_hi, k));
+  }
+  // The last 1-7 inputs, 4 at a time; masked lanes read nothing and
+  // multiply to 0.
+  for (; i < n; i += 4) {
+    const __m128i mask = first_lanes_mask(std::min<std::size_t>(4, n - i));
+    const __m256i product = _mm256_mul_epi32(
+        _mm256_cvtepi32_epi64(_mm_maskload_epi32(weights + i, mask)),
+        _mm256_cvtepi32_epi64(_mm_maskload_epi32(inputs + i, mask)));
+    acc_lo = _mm256_add_epi64(acc_lo, post_scale256<Clamp>(product, k));
+  }
+  const __m256i acc = _mm256_add_epi64(acc_lo, acc_hi);
+  alignas(32) std::int64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+  return clamp_raw(bias_raw + lanes[0] + lanes[1] + lanes[2] + lanes[3],
+                   spec.raw_min, spec.raw_max);
+}
+
+/// `Rows` neurons x `Vecs` 4-shot vectors of mac_tile: each input vector is
+/// loaded and widened once for all the block's neurons. With `Tail` the one
+/// vector holds the tile's last `active` (< 4) shots and reads and writes
+/// only those lanes.
+template <std::size_t Rows, std::size_t Vecs, bool Clamp, bool Tail>
+__attribute__((target("avx2"))) inline void mac_block_avx2(
+    const std::int32_t* weights, const std::int32_t* bias,
+    const std::int32_t* column, std::int32_t* out, const tile_args& t,
+    __m128i active, const lanes256_consts& k) {
+  static_assert(!Tail || Vecs == 1, "a tail block is one vector");
+  __m256i acc[Rows][Vecs];
+  for (std::size_t r = 0; r < Rows; ++r) {
+    for (std::size_t v = 0; v < Vecs; ++v) {
+      acc[r][v] = _mm256_set1_epi64x(bias[r]);
+    }
+  }
+  for (std::size_t i = 0; i < t.in_dim; ++i) {
+    const std::int32_t* lane = column + i * t.stride;
+    __m256i x[Vecs];
+    for (std::size_t v = 0; v < Vecs; ++v) {
+      if constexpr (Tail) {
+        x[v] = _mm256_cvtepi32_epi64(_mm_maskload_epi32(lane, active));
+      } else {
+        x[v] = load_lanes(lane + 4 * v);
+      }
+    }
+    for (std::size_t r = 0; r < Rows; ++r) {
+      const __m256i w = _mm256_set1_epi32(weights[r * t.in_dim + i]);
+      for (std::size_t v = 0; v < Vecs; ++v) {
+        acc[r][v] = _mm256_add_epi64(
+            acc[r][v], post_scale256<Clamp>(_mm256_mul_epi32(w, x[v]), k));
+      }
+    }
+  }
+  const __m256i zero = _mm256_setzero_si256();
+  for (std::size_t r = 0; r < Rows; ++r) {
+    for (std::size_t v = 0; v < Vecs; ++v) {
+      __m256i value = clamp_lanes(acc[r][v], k.rail_min, k.rail_max);
+      if (t.relu) {
+        value = _mm256_andnot_si256(_mm256_cmpgt_epi64(zero, value), value);
+      }
+      std::int32_t* dst = out + r * t.stride + 4 * v;
+      if constexpr (Tail) {
+        _mm_maskstore_epi32(dst, active, narrow_lanes(value));
+      } else {
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), narrow_lanes(value));
+      }
+    }
+  }
+}
+
+template <std::size_t Rows, bool Clamp>
+__attribute__((target("avx2"))) void mac_rows_avx2(
+    const std::int32_t* weights, const std::int32_t* bias, std::int32_t* out,
+    const tile_args& t, const lanes256_consts& k) {
+  const __m128i all = _mm_set1_epi32(-1);
+  std::size_t s = 0;
+  for (; s + 8 <= t.tile; s += 8) {
+    mac_block_avx2<Rows, 2, Clamp, false>(weights, bias, t.in_plane + s,
+                                          out + s, t, all, k);
+  }
+  for (; s + 4 <= t.tile; s += 4) {
+    mac_block_avx2<Rows, 1, Clamp, false>(weights, bias, t.in_plane + s,
+                                          out + s, t, all, k);
+  }
+  if (s < t.tile) {
+    mac_block_avx2<Rows, 1, Clamp, true>(weights, bias, t.in_plane + s,
+                                         out + s, t,
+                                         first_lanes_mask(t.tile - s), k);
+  }
+}
+
+template <std::size_t Rows>
+__attribute__((target("avx2"))) void mac_rows_avx2(
+    const std::int32_t* weights, const std::int32_t* bias, bool in_range,
+    std::int32_t* out, const tile_args& t, const lanes256_consts& k) {
+  if (in_range) {
+    mac_rows_avx2<Rows, false>(weights, bias, out, t, k);
+  } else {
+    mac_rows_avx2<Rows, true>(weights, bias, out, t, k);
+  }
+}
+
+__attribute__((target("avx2"))) void mac_tile_avx2(
+    const std::int32_t* weights, const std::int32_t* bias,
+    const std::uint8_t* rows_in_range, std::size_t out_dim,
+    const tile_args& t, std::int32_t* out_plane,
+    const mac_spec& spec) noexcept {
+  const lanes256_consts k = make_lanes256_consts(spec);
+  std::size_t row = 0;
+  for (; row + kRowBlock <= out_dim; row += kRowBlock) {
+    mac_rows_avx2<kRowBlock>(weights + row * t.in_dim, bias + row,
+                             block_in_range(rows_in_range + row, kRowBlock),
+                             out_plane + row * t.stride, t, k);
+  }
+  for (; row < out_dim; ++row) {
+    mac_rows_avx2<1>(weights + row * t.in_dim, bias + row,
+                     rows_in_range[row] != 0, out_plane + row * t.stride, t,
+                     k);
+  }
 }
 
 /// quantize_raw over 4 samples, bit-identical per lane: clamp to the
@@ -335,13 +458,6 @@ __attribute__((target("avx2"))) void quantize_block_avx2(
   if (i < n) scalar64::quantize_block(values + i, n - i, out + i, spec);
 }
 
-/// Mask selecting the first `count` of 4 int32/float lanes.
-__attribute__((target("avx2"))) inline __m128i first_lanes_mask(
-    std::size_t count) {
-  return _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(count)),
-                         _mm_setr_epi32(0, 1, 2, 3));
-}
-
 /// NORM over 4 shot lanes (normalize_raw per lane), then stores the lanes
 /// as int32 registers at `out`.
 __attribute__((target("avx2"))) inline void normalize_store_lanes(
@@ -354,10 +470,12 @@ __attribute__((target("avx2"))) inline void normalize_store_lanes(
   if (shift >= 0) {
     const int right =
         shift < max_norm_right_shift ? shift : max_norm_right_shift;
-    result = round_shift_clamp_lanes(
-        diff,
-        _mm256_set1_epi64x(right > 0 ? std::int64_t{1} << (right - 1) : 0),
-        _mm_cvtsi32_si128(right), k.rail_min, k.rail_max);
+    result = clamp_lanes(
+        round_shift_lanes(
+            diff,
+            _mm256_set1_epi64x(right > 0 ? std::int64_t{1} << (right - 1) : 0),
+            _mm_cvtsi32_si128(right)),
+        k.rail_min, k.rail_max);
   } else {
     const int left =
         -shift < max_norm_left_shift ? -shift : max_norm_left_shift;
@@ -372,6 +490,7 @@ __attribute__((target("avx2"))) inline void normalize_store_lanes(
 /// 4 lanes idle. Each 64-sample block is quantized and MF-accumulated in
 /// vectors; its int32 registers then feed the AVG adder trees, AVG and NORM
 /// in scalar code.
+template <bool ClampTaps>
 __attribute__((target("avx2"))) void frontend_shot_avx2(
     const float* trace, const frontend_spec& frontend, std::int32_t* out,
     std::size_t stride, const lanes256_consts& k, const mac_spec& spec) {
@@ -402,9 +521,8 @@ __attribute__((target("avx2"))) void frontend_shot_avx2(
           const __m256i tap = _mm256_cvtepi32_epi64(
               _mm_maskload_epi32(taps + i + v, mask));
           mf = _mm256_add_epi64(
-              mf, round_shift_clamp_lanes(
-                      _mm256_mul_epi32(tap, _mm256_cvtepi32_epi64(x32)),
-                      k.half, k.frac_shift, k.rail_min, k.rail_max));
+              mf, post_scale256<ClampTaps>(
+                      _mm256_mul_epi32(tap, _mm256_cvtepi32_epi64(x32)), k));
         }
       }
       for (std::size_t j = 0; j < count;) {
@@ -432,6 +550,7 @@ __attribute__((target("avx2"))) void frontend_shot_avx2(
   }
 }
 
+template <bool ClampTaps>
 __attribute__((target("avx2"))) void frontend_tile_avx2(
     const float* const* traces, std::size_t lanes,
     const frontend_spec& frontend, std::int32_t* plane, std::size_t stride,
@@ -471,16 +590,16 @@ __attribute__((target("avx2"))) void frontend_tile_avx2(
           sum = _mm256_add_epi64(sum, x);
           if (taps != nullptr) {
             mf = _mm256_add_epi64(
-                mf, round_shift_clamp_lanes(
+                mf, post_scale256<ClampTaps>(
                         _mm256_mul_epi32(_mm256_set1_epi32(taps[i + j]), x),
-                        k.half, k.frac_shift, k.rail_min, k.rail_max));
+                        k));
           }
           if (i + j + 1 == end) {
             const std::size_t c = quadrature * groups + g;
-            const __m256i average = round_shift_clamp_lanes(
+            const __m256i average = post_scale256<true>(
                 _mm256_mul_epi32(clamp_lanes(sum, k.rail_min, k.rail_max),
                                  _mm256_set1_epi32(frontend.reciprocal[g])),
-                k.half, k.frac_shift, k.rail_min, k.rail_max);
+                k);
             normalize_store_lanes(average, frontend.x_min[c],
                                   frontend.shift[c], k, out + c * stride);
             sum = zero;
@@ -500,7 +619,8 @@ __attribute__((target("avx2"))) void frontend_tile_avx2(
   // time, each costs about what a shot costs inside a full block
   // (bench_fixed_kernels BM_FrontendTile rows).
   for (; base < lanes; ++base) {
-    frontend_shot_avx2(traces[base], frontend, plane + base, stride, k, spec);
+    frontend_shot_avx2<ClampTaps>(traces[base], frontend, plane + base,
+                                  stride, k, spec);
   }
 }
 
@@ -517,21 +637,7 @@ __attribute__((target("avx2"))) void frontend_tile_avx2(
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 
-/// 8-lane round_shift_clamp. AVX-512's arithmetic 64-bit shift (vpsraq) and
-/// native 64-bit min/max replace the compare/blend dance the AVX2 tier
-/// needs, so the post-scaler is both wider and shorter.
-__attribute__((target("avx512f,avx512bw,avx512dq"))) inline __m512i
-round_shift_clamp_lanes512(__m512i product, __m512i half, __m128i shift,
-                           __m512i rail_min, __m512i rail_max) {
-  const __m512i sign = _mm512_srai_epi64(product, 63);  // 0 or -1
-  __m512i magnitude = _mm512_sub_epi64(_mm512_xor_si512(product, sign), sign);
-  magnitude = _mm512_srl_epi64(_mm512_add_epi64(magnitude, half), shift);
-  const __m512i value =
-      _mm512_sub_epi64(_mm512_xor_si512(magnitude, sign), sign);
-  return _mm512_max_epi64(_mm512_min_epi64(value, rail_max), rail_min);
-}
-
-/// Saturate 8 wide accumulator lanes at the adder-tree root.
+/// Saturate 8 int64 lanes to the rails.
 __attribute__((target("avx512f,avx512bw,avx512dq"))) inline __m512i
 clamp_lanes512(__m512i value, __m512i rail_min, __m512i rail_max) {
   return _mm512_max_epi64(_mm512_min_epi64(value, rail_max), rail_min);
@@ -544,124 +650,15 @@ load_lanes512(const std::int32_t* p) {
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
 }
 
-__attribute__((target("avx512f,avx512bw,avx512dq"))) std::int64_t
-mac_row_avx512(const std::int32_t* weights, const std::int32_t* inputs,
-               std::size_t n, std::int64_t bias_raw,
-               const mac_spec& spec) noexcept {
-  const __m512i half = _mm512_set1_epi64(
-      spec.frac_bits > 0 ? std::int64_t{1} << (spec.frac_bits - 1) : 0);
-  const __m128i shift = _mm_cvtsi32_si128(spec.frac_bits);
-  const __m512i rail_min = _mm512_set1_epi64(spec.raw_min);
-  const __m512i rail_max = _mm512_set1_epi64(spec.raw_max);
-  // Two accumulators break the add-latency chain on long rows; integer
-  // addition is exact, so the split stays bit-identical to any other
-  // summation order.
-  __m512i acc_lo = _mm512_setzero_si512();
-  __m512i acc_hi = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i product_lo = _mm512_mul_epi32(load_lanes512(weights + i),
-                                                load_lanes512(inputs + i));
-    const __m512i product_hi = _mm512_mul_epi32(load_lanes512(weights + i + 8),
-                                                load_lanes512(inputs + i + 8));
-    acc_lo = _mm512_add_epi64(
-        acc_lo, round_shift_clamp_lanes512(product_lo, half, shift, rail_min,
-                                           rail_max));
-    acc_hi = _mm512_add_epi64(
-        acc_hi, round_shift_clamp_lanes512(product_hi, half, shift, rail_min,
-                                           rail_max));
-  }
-  for (; i + 8 <= n; i += 8) {
-    const __m512i product = _mm512_mul_epi32(load_lanes512(weights + i),
-                                             load_lanes512(inputs + i));
-    acc_lo = _mm512_add_epi64(
-        acc_lo, round_shift_clamp_lanes512(product, half, shift, rail_min,
-                                           rail_max));
-  }
-  std::int64_t sum =
-      bias_raw + _mm512_reduce_add_epi64(_mm512_add_epi64(acc_lo, acc_hi));
-  for (; i < n; ++i) {
-    sum += round_shift_clamp(static_cast<std::int64_t>(weights[i]) * inputs[i],
-                             spec.frac_bits, spec.raw_min, spec.raw_max);
-  }
-  return clamp_raw(sum, spec.raw_min, spec.raw_max);
+/// Widen the first lanes (per `mask`) of 8 int32 registers to int64 lanes;
+/// masked lanes read nothing and come back 0.
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline __m512i
+load_lanes512_masked(__mmask8 mask, const void* p) {
+  return _mm512_cvtepi32_epi64(
+      _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(mask, p)));
 }
 
-__attribute__((target("avx512f,avx512bw,avx512dq"))) void mac_tile_avx512(
-    const std::int32_t* weights, const std::int32_t* bias, std::size_t out_dim,
-    std::size_t in_dim, const std::int32_t* in_plane, std::size_t tile,
-    std::size_t stride, bool relu, std::int32_t* out_plane,
-    const mac_spec& spec) noexcept {
-  const __m512i half = _mm512_set1_epi64(
-      spec.frac_bits > 0 ? std::int64_t{1} << (spec.frac_bits - 1) : 0);
-  const __m128i shift = _mm_cvtsi32_si128(spec.frac_bits);
-  const __m512i rail_min = _mm512_set1_epi64(spec.raw_min);
-  const __m512i rail_max = _mm512_set1_epi64(spec.raw_max);
-  const __m512i zero = _mm512_setzero_si512();
-  for (std::size_t neuron = 0; neuron < out_dim; ++neuron) {
-    const std::int32_t* weight_row = weights + neuron * in_dim;
-    const __m512i bias_lanes = _mm512_set1_epi64(bias[neuron]);
-    std::int32_t* out_row = out_plane + neuron * stride;
-    std::size_t s = 0;
-    // 16 shots per pass (two accumulators) amortizes the weight broadcast.
-    for (; s + 16 <= tile; s += 16) {
-      __m512i acc_lo = bias_lanes;
-      __m512i acc_hi = bias_lanes;
-      const std::int32_t* column = in_plane + s;
-      for (std::size_t i = 0; i < in_dim; ++i) {
-        const __m512i w = _mm512_set1_epi64(weight_row[i]);
-        const std::int32_t* lane = column + i * stride;
-        acc_lo = _mm512_add_epi64(
-            acc_lo,
-            round_shift_clamp_lanes512(_mm512_mul_epi32(w, load_lanes512(lane)),
-                                       half, shift, rail_min, rail_max));
-        acc_hi = _mm512_add_epi64(
-            acc_hi, round_shift_clamp_lanes512(
-                        _mm512_mul_epi32(w, load_lanes512(lane + 8)), half,
-                        shift, rail_min, rail_max));
-      }
-      acc_lo = clamp_lanes512(acc_lo, rail_min, rail_max);
-      acc_hi = clamp_lanes512(acc_hi, rail_min, rail_max);
-      if (relu) {
-        acc_lo = _mm512_max_epi64(acc_lo, zero);
-        acc_hi = _mm512_max_epi64(acc_hi, zero);
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_row + s),
-                          _mm512_cvtepi64_epi32(acc_lo));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_row + s + 8),
-                          _mm512_cvtepi64_epi32(acc_hi));
-    }
-    for (; s + 8 <= tile; s += 8) {
-      __m512i acc = bias_lanes;
-      const std::int32_t* column = in_plane + s;
-      for (std::size_t i = 0; i < in_dim; ++i) {
-        const __m512i w = _mm512_set1_epi64(weight_row[i]);
-        acc = _mm512_add_epi64(
-            acc, round_shift_clamp_lanes512(
-                     _mm512_mul_epi32(w, load_lanes512(column + i * stride)),
-                     half, shift, rail_min, rail_max));
-      }
-      acc = clamp_lanes512(acc, rail_min, rail_max);
-      if (relu) acc = _mm512_max_epi64(acc, zero);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_row + s),
-                          _mm512_cvtepi64_epi32(acc));
-    }
-    for (; s < tile; ++s) {
-      std::int64_t acc = bias[neuron];
-      const std::int32_t* column = in_plane + s;
-      for (std::size_t i = 0; i < in_dim; ++i) {
-        acc += round_shift_clamp(
-            static_cast<std::int64_t>(weight_row[i]) * column[i * stride],
-            spec.frac_bits, spec.raw_min, spec.raw_max);
-      }
-      std::int64_t value = clamp_raw(acc, spec.raw_min, spec.raw_max);
-      if (relu && value < 0) value = 0;
-      out_row[s] = static_cast<std::int32_t>(value);
-    }
-  }
-}
-
-/// Broadcast constants of the AVX-512 quantizer and front end.
+/// Broadcast constants of the AVX-512 kernels.
 struct lanes512_consts {
   __m512d scale;
   __m512d rail_min_pd;
@@ -694,6 +691,170 @@ make_lanes512_consts(const mac_spec& spec) {
   };
 }
 
+/// round_shift over 8 lanes through the 64-bit arithmetic shift (vpsraq,
+/// which AVX2 lacks): rounding |p| / 2^k half away from zero is
+/// floor((p + bias) / 2^k) with bias 2^(k-1) for p >= 0 and 2^(k-1) - 1 for
+/// p < 0 (both 0 when k = 0). Four operations, where the magnitude form
+/// takes seven.
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline __m512i
+round_shift_sra512(__m512i product, __m512i half, __m512i half_neg,
+                   __m128i shift) {
+  const __mmask8 negative =
+      _mm512_cmplt_epi64_mask(product, _mm512_setzero_si512());
+  const __m512i biased = _mm512_mask_add_epi64(
+      _mm512_add_epi64(product, half), negative, product, half_neg);
+  return _mm512_sra_epi64(biased, shift);
+}
+
+/// post_scale over 8 lanes.
+template <bool Clamp>
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline __m512i
+post_scale512(__m512i product, const lanes512_consts& k) {
+  const __m512i value =
+      round_shift_sra512(product, k.half, k.half_neg, k.frac_shift);
+  if constexpr (Clamp) {
+    return clamp_lanes512(value, k.rail_min, k.rail_max);
+  } else {
+    return value;
+  }
+}
+
+template <bool Clamp>
+__attribute__((target("avx512f,avx512bw,avx512dq"))) std::int64_t
+mac_row_avx512(const std::int32_t* weights, const std::int32_t* inputs,
+               std::size_t n, std::int64_t bias_raw,
+               const mac_spec& spec) noexcept {
+  const lanes512_consts k = make_lanes512_consts(spec);
+  // Two accumulators break the add-latency chain on long rows; integer
+  // addition is exact, so the split stays bit-identical to any other
+  // summation order.
+  __m512i acc_lo = _mm512_setzero_si512();
+  __m512i acc_hi = _mm512_setzero_si512();
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512i product_lo = _mm512_mul_epi32(load_lanes512(weights + i),
+                                                load_lanes512(inputs + i));
+    const __m512i product_hi = _mm512_mul_epi32(load_lanes512(weights + i + 8),
+                                                load_lanes512(inputs + i + 8));
+    acc_lo = _mm512_add_epi64(acc_lo, post_scale512<Clamp>(product_lo, k));
+    acc_hi = _mm512_add_epi64(acc_hi, post_scale512<Clamp>(product_hi, k));
+  }
+  // The last 1-15 inputs, 8 at a time; masked lanes read nothing and
+  // multiply to 0.
+  for (; i < n; i += 8) {
+    const auto mask = static_cast<__mmask8>(
+        (1u << std::min<std::size_t>(8, n - i)) - 1);
+    const __m512i product =
+        _mm512_mul_epi32(load_lanes512_masked(mask, weights + i),
+                         load_lanes512_masked(mask, inputs + i));
+    acc_lo = _mm512_add_epi64(acc_lo, post_scale512<Clamp>(product, k));
+  }
+  return clamp_raw(
+      bias_raw + _mm512_reduce_add_epi64(_mm512_add_epi64(acc_lo, acc_hi)),
+      spec.raw_min, spec.raw_max);
+}
+
+/// `Rows` neurons x `Vecs` 8-shot vectors of mac_tile: each input vector is
+/// loaded and widened once for all the block's neurons. With `Tail` the one
+/// vector holds the tile's last `active` shots and reads and writes only
+/// those lanes.
+template <std::size_t Rows, std::size_t Vecs, bool Clamp, bool Tail>
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline void
+mac_block512(const std::int32_t* weights, const std::int32_t* bias,
+             const std::int32_t* column, std::int32_t* out,
+             const tile_args& t, __mmask8 active, const lanes512_consts& k) {
+  static_assert(!Tail || Vecs == 1, "a tail block is one vector");
+  __m512i acc[Rows][Vecs];
+  for (std::size_t r = 0; r < Rows; ++r) {
+    for (std::size_t v = 0; v < Vecs; ++v) {
+      acc[r][v] = _mm512_set1_epi64(bias[r]);
+    }
+  }
+  for (std::size_t i = 0; i < t.in_dim; ++i) {
+    const std::int32_t* lane = column + i * t.stride;
+    __m512i x[Vecs];
+    for (std::size_t v = 0; v < Vecs; ++v) {
+      if constexpr (Tail) {
+        x[v] = load_lanes512_masked(active, lane);
+      } else {
+        x[v] = load_lanes512(lane + 8 * v);
+      }
+    }
+    for (std::size_t r = 0; r < Rows; ++r) {
+      // vpmuldq reads the low 32 bits of each 64-bit lane, so a 32-bit
+      // broadcast of the weight serves.
+      const __m512i w = _mm512_set1_epi32(weights[r * t.in_dim + i]);
+      for (std::size_t v = 0; v < Vecs; ++v) {
+        acc[r][v] = _mm512_add_epi64(
+            acc[r][v], post_scale512<Clamp>(_mm512_mul_epi32(w, x[v]), k));
+      }
+    }
+  }
+  const __m512i zero = _mm512_setzero_si512();
+  for (std::size_t r = 0; r < Rows; ++r) {
+    for (std::size_t v = 0; v < Vecs; ++v) {
+      __m512i value = clamp_lanes512(acc[r][v], k.rail_min, k.rail_max);
+      if (t.relu) value = _mm512_max_epi64(value, zero);
+      std::int32_t* dst = out + r * t.stride + 8 * v;
+      if constexpr (Tail) {
+        _mm512_mask_cvtepi64_storeu_epi32(dst, active, value);
+      } else {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
+                            _mm512_cvtepi64_epi32(value));
+      }
+    }
+  }
+}
+
+template <std::size_t Rows, bool Clamp>
+__attribute__((target("avx512f,avx512bw,avx512dq"))) void mac_rows512(
+    const std::int32_t* weights, const std::int32_t* bias, std::int32_t* out,
+    const tile_args& t, const lanes512_consts& k) {
+  std::size_t s = 0;
+  for (; s + 16 <= t.tile; s += 16) {
+    mac_block512<Rows, 2, Clamp, false>(weights, bias, t.in_plane + s,
+                                        out + s, t, 0xff, k);
+  }
+  for (; s + 8 <= t.tile; s += 8) {
+    mac_block512<Rows, 1, Clamp, false>(weights, bias, t.in_plane + s,
+                                        out + s, t, 0xff, k);
+  }
+  if (s < t.tile) {
+    mac_block512<Rows, 1, Clamp, true>(
+        weights, bias, t.in_plane + s, out + s, t,
+        static_cast<__mmask8>((1u << (t.tile - s)) - 1), k);
+  }
+}
+
+template <std::size_t Rows>
+__attribute__((target("avx512f,avx512bw,avx512dq"))) void mac_rows512(
+    const std::int32_t* weights, const std::int32_t* bias, bool in_range,
+    std::int32_t* out, const tile_args& t, const lanes512_consts& k) {
+  if (in_range) {
+    mac_rows512<Rows, false>(weights, bias, out, t, k);
+  } else {
+    mac_rows512<Rows, true>(weights, bias, out, t, k);
+  }
+}
+
+__attribute__((target("avx512f,avx512bw,avx512dq"))) void mac_tile_avx512(
+    const std::int32_t* weights, const std::int32_t* bias,
+    const std::uint8_t* rows_in_range, std::size_t out_dim,
+    const tile_args& t, std::int32_t* out_plane,
+    const mac_spec& spec) noexcept {
+  const lanes512_consts k = make_lanes512_consts(spec);
+  std::size_t row = 0;
+  for (; row + kRowBlock <= out_dim; row += kRowBlock) {
+    mac_rows512<kRowBlock>(weights + row * t.in_dim, bias + row,
+                           block_in_range(rows_in_range + row, kRowBlock),
+                           out_plane + row * t.stride, t, k);
+  }
+  for (; row < out_dim; ++row) {
+    mac_rows512<1>(weights + row * t.in_dim, bias + row,
+                   rows_in_range[row] != 0, out_plane + row * t.stride, t, k);
+  }
+}
+
 /// quantize_raw over 8 samples, bit-identical per lane, in 8 operations.
 /// Clamping to the rails before rounding never changes a result (the rails
 /// are integers). Adding ±0.5 with the value's sign is exact: a float
@@ -713,19 +874,6 @@ quantize_lanes512(__m256 samples, const lanes512_consts& k) {
       _mm512_castpd_si512(bounded), k.sign_bit, k.half_pd, 0xEA));
   return _mm512_maskz_cvttpd_epi64(ordered,
                                    _mm512_add_pd(bounded, signed_half));
-}
-
-/// round_shift_clamp over 8 lanes through the 64-bit arithmetic shift:
-/// rounding |p| / 2^k half away from zero is floor((p + bias) / 2^k) with
-/// bias 2^(k-1) for p >= 0 and 2^(k-1) - 1 for p < 0 (both 0 when k = 0).
-__attribute__((target("avx512f,avx512bw,avx512dq"))) inline __m512i
-round_shift_sra512(__m512i product, __m512i half, __m512i half_neg,
-                   __m128i shift, __m512i rail_min, __m512i rail_max) {
-  const __mmask8 negative =
-      _mm512_cmplt_epi64_mask(product, _mm512_setzero_si512());
-  const __m512i biased = _mm512_mask_add_epi64(
-      _mm512_add_epi64(product, half), negative, product, half_neg);
-  return clamp_lanes512(_mm512_sra_epi64(biased, shift), rail_min, rail_max);
 }
 
 __attribute__((target("avx512f,avx512bw,avx512dq"))) void quantize_block_avx512(
@@ -777,10 +925,11 @@ normalize_store_lanes512(__m512i value, std::int32_t x_min, int shift,
     const int right =
         shift < max_norm_right_shift ? shift : max_norm_right_shift;
     const std::int64_t half = right > 0 ? std::int64_t{1} << (right - 1) : 0;
-    result = round_shift_sra512(diff, _mm512_set1_epi64(half),
-                                _mm512_set1_epi64(half > 0 ? half - 1 : 0),
-                                _mm_cvtsi32_si128(right), k.rail_min,
-                                k.rail_max);
+    result = clamp_lanes512(
+        round_shift_sra512(diff, _mm512_set1_epi64(half),
+                           _mm512_set1_epi64(half > 0 ? half - 1 : 0),
+                           _mm_cvtsi32_si128(right)),
+        k.rail_min, k.rail_max);
   } else {
     const int left =
         -shift < max_norm_left_shift ? -shift : max_norm_left_shift;
@@ -788,14 +937,6 @@ normalize_store_lanes512(__m512i value, std::int32_t x_min, int shift,
                             k.rail_min, k.rail_max);
   }
   _mm512_mask_cvtepi64_storeu_epi32(out, active, result);
-}
-
-/// Widen the first lanes (per `mask`) of 8 int32 registers to int64 lanes;
-/// masked lanes read nothing and come back 0.
-__attribute__((target("avx512f,avx512bw,avx512dq"))) inline __m512i
-load_lanes512_masked(__mmask8 mask, const void* p) {
-  return _mm512_cvtepi32_epi64(
-      _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(mask, p)));
 }
 
 /// AVG + NORM for `count` (<= 8) consecutive features of one shot, one
@@ -817,9 +958,7 @@ average_normalize_features512(const std::int64_t* sums, std::size_t count,
                                      k.rail_min, k.rail_max);
   const __m512i product =
       _mm512_mul_epi32(sum, load_lanes512_masked(mask, reciprocal));
-  const __m512i average =
-      round_shift_sra512(product, k.half, k.half_neg, k.frac_shift,
-                         k.rail_min, k.rail_max);
+  const __m512i average = post_scale512<true>(product, k);
   const __m512i offset = load_lanes512_masked(mask, x_min);
   const __m512i diff = clamp_lanes512(_mm512_sub_epi64(average, offset),
                                       k.rail_min, k.rail_max);
@@ -853,6 +992,7 @@ average_normalize_features512(const std::int64_t* sums, std::size_t count,
 /// 8 lanes idle. Each 64-sample block is quantized and MF-accumulated in
 /// vectors; its int32 registers then feed the AVG adder trees in scalar
 /// code, and every 8 finished groups take AVG + NORM together in vectors.
+template <bool ClampTaps>
 __attribute__((target("avx512f,avx512bw,avx512dq"))) void frontend_shot_avx512(
     const float* trace, const frontend_spec& frontend, std::int32_t* out,
     std::size_t stride, const lanes512_consts& k, const mac_spec& spec) {
@@ -889,9 +1029,7 @@ __attribute__((target("avx512f,avx512bw,avx512dq"))) void frontend_shot_avx512(
           const __m512i tap = load_lanes512_masked(static_cast<__mmask8>(mask),
                                                    taps + i + v);
           mf = _mm512_add_epi64(
-              mf, round_shift_sra512(_mm512_mul_epi32(tap, x), k.half,
-                                     k.half_neg, k.frac_shift, k.rail_min,
-                                     k.rail_max));
+              mf, post_scale512<ClampTaps>(_mm512_mul_epi32(tap, x), k));
         }
       }
       for (std::size_t j = 0; j < count;) {
@@ -932,6 +1070,7 @@ __attribute__((target("avx512f,avx512bw,avx512dq"))) void frontend_shot_avx512(
 /// three to six single shots (bench_fixed_kernels BM_FrontendTile rows).
 constexpr std::size_t kMinLaneShots512 = 4;
 
+template <bool ClampTaps>
 __attribute__((target("avx512f,avx512bw,avx512dq"))) void frontend_tile_avx512(
     const float* const* traces, std::size_t lanes,
     const frontend_spec& frontend, std::int32_t* plane, std::size_t stride,
@@ -946,8 +1085,8 @@ __attribute__((target("avx512f,avx512bw,avx512dq"))) void frontend_tile_avx512(
     std::int32_t* out = plane + base;
     if (active < kMinLaneShots512) {
       for (std::size_t l = 0; l < active; ++l) {
-        frontend_shot_avx512(traces[base + l], frontend, out + l, stride, k,
-                             spec);
+        frontend_shot_avx512<ClampTaps>(traces[base + l], frontend, out + l,
+                                        stride, k, spec);
       }
       continue;
     }
@@ -985,17 +1124,16 @@ __attribute__((target("avx512f,avx512bw,avx512dq"))) void frontend_tile_avx512(
           sum = _mm512_add_epi64(sum, x);
           if (taps != nullptr) {
             mf = _mm512_add_epi64(
-                mf, round_shift_sra512(
+                mf, post_scale512<ClampTaps>(
                         _mm512_mul_epi32(_mm512_set1_epi32(taps[i + j]), x),
-                        k.half, k.half_neg, k.frac_shift, k.rail_min,
-                        k.rail_max));
+                        k));
           }
           if (i + j + 1 == end) {
             const std::size_t c = quadrature * groups + g;
-            const __m512i average = round_shift_sra512(
+            const __m512i average = post_scale512<true>(
                 _mm512_mul_epi32(clamp_lanes512(sum, k.rail_min, k.rail_max),
                                  _mm512_set1_epi32(frontend.reciprocal[g])),
-                k.half, k.half_neg, k.frac_shift, k.rail_min, k.rail_max);
+                k);
             normalize_store_lanes512(average, frontend.x_min[c],
                                      frontend.shift[c], k, out + c * stride,
                                      active_mask);
@@ -1023,18 +1161,20 @@ __attribute__((target("avx512f,avx512bw,avx512dq"))) void frontend_tile_avx512(
 namespace avx2 {
 
 std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw,
+                     std::size_t n, std::int64_t bias_raw, bool in_range,
                      const mac_spec& spec) noexcept {
-  return mac_row_avx2(weights, inputs, n, bias_raw, spec);
+  return in_range ? mac_row_avx2<false>(weights, inputs, n, bias_raw, spec)
+                  : mac_row_avx2<true>(weights, inputs, n, bias_raw, spec);
 }
 
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              std::size_t out_dim, std::size_t in_dim,
-              const std::int32_t* in_plane, std::size_t tile,
-              std::size_t stride, bool relu, std::int32_t* out_plane,
-              const mac_spec& spec) noexcept {
-  mac_tile_avx2(weights, bias, out_dim, in_dim, in_plane, tile, stride, relu,
-                out_plane, spec);
+              const std::uint8_t* rows_in_range, std::size_t out_dim,
+              std::size_t in_dim, const std::int32_t* in_plane,
+              std::size_t tile, std::size_t stride, bool relu,
+              std::int32_t* out_plane, const mac_spec& spec) noexcept {
+  mac_tile_avx2(weights, bias, rows_in_range, out_dim,
+                tile_args{in_dim, in_plane, tile, stride, relu}, out_plane,
+                spec);
 }
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
@@ -1045,7 +1185,11 @@ void quantize_block(const float* values, std::size_t n, std::int32_t* out,
 void frontend_tile(const float* const* traces, std::size_t lanes,
                    const frontend_spec& frontend, std::int32_t* plane,
                    std::size_t stride, const mac_spec& spec) noexcept {
-  frontend_tile_avx2(traces, lanes, frontend, plane, stride, spec);
+  if (frontend.taps_in_range) {
+    frontend_tile_avx2<false>(traces, lanes, frontend, plane, stride, spec);
+  } else {
+    frontend_tile_avx2<true>(traces, lanes, frontend, plane, stride, spec);
+  }
 }
 
 }  // namespace avx2
@@ -1053,18 +1197,20 @@ void frontend_tile(const float* const* traces, std::size_t lanes,
 namespace avx512 {
 
 std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw,
+                     std::size_t n, std::int64_t bias_raw, bool in_range,
                      const mac_spec& spec) noexcept {
-  return mac_row_avx512(weights, inputs, n, bias_raw, spec);
+  return in_range ? mac_row_avx512<false>(weights, inputs, n, bias_raw, spec)
+                  : mac_row_avx512<true>(weights, inputs, n, bias_raw, spec);
 }
 
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              std::size_t out_dim, std::size_t in_dim,
-              const std::int32_t* in_plane, std::size_t tile,
-              std::size_t stride, bool relu, std::int32_t* out_plane,
-              const mac_spec& spec) noexcept {
-  mac_tile_avx512(weights, bias, out_dim, in_dim, in_plane, tile, stride, relu,
-                  out_plane, spec);
+              const std::uint8_t* rows_in_range, std::size_t out_dim,
+              std::size_t in_dim, const std::int32_t* in_plane,
+              std::size_t tile, std::size_t stride, bool relu,
+              std::int32_t* out_plane, const mac_spec& spec) noexcept {
+  mac_tile_avx512(weights, bias, rows_in_range, out_dim,
+                  tile_args{in_dim, in_plane, tile, stride, relu}, out_plane,
+                  spec);
 }
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
@@ -1075,7 +1221,11 @@ void quantize_block(const float* values, std::size_t n, std::int32_t* out,
 void frontend_tile(const float* const* traces, std::size_t lanes,
                    const frontend_spec& frontend, std::int32_t* plane,
                    std::size_t stride, const mac_spec& spec) noexcept {
-  frontend_tile_avx512(traces, lanes, frontend, plane, stride, spec);
+  if (frontend.taps_in_range) {
+    frontend_tile_avx512<false>(traces, lanes, frontend, plane, stride, spec);
+  } else {
+    frontend_tile_avx512<true>(traces, lanes, frontend, plane, stride, spec);
+  }
 }
 
 }  // namespace avx512
@@ -1088,18 +1238,18 @@ void frontend_tile(const float* const* traces, std::size_t lanes,
 namespace avx2 {
 
 std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw,
+                     std::size_t n, std::int64_t bias_raw, bool in_range,
                      const mac_spec& spec) noexcept {
-  return scalar64::mac_row(weights, inputs, n, bias_raw, spec);
+  return scalar64::mac_row(weights, inputs, n, bias_raw, in_range, spec);
 }
 
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              std::size_t out_dim, std::size_t in_dim,
-              const std::int32_t* in_plane, std::size_t tile,
-              std::size_t stride, bool relu, std::int32_t* out_plane,
-              const mac_spec& spec) noexcept {
-  scalar64::mac_tile(weights, bias, out_dim, in_dim, in_plane, tile, stride,
-                     relu, out_plane, spec);
+              const std::uint8_t* rows_in_range, std::size_t out_dim,
+              std::size_t in_dim, const std::int32_t* in_plane,
+              std::size_t tile, std::size_t stride, bool relu,
+              std::int32_t* out_plane, const mac_spec& spec) noexcept {
+  scalar64::mac_tile(weights, bias, rows_in_range, out_dim, in_dim, in_plane,
+                     tile, stride, relu, out_plane, spec);
 }
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
@@ -1118,18 +1268,18 @@ void frontend_tile(const float* const* traces, std::size_t lanes,
 namespace avx512 {
 
 std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw,
+                     std::size_t n, std::int64_t bias_raw, bool in_range,
                      const mac_spec& spec) noexcept {
-  return scalar64::mac_row(weights, inputs, n, bias_raw, spec);
+  return scalar64::mac_row(weights, inputs, n, bias_raw, in_range, spec);
 }
 
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              std::size_t out_dim, std::size_t in_dim,
-              const std::int32_t* in_plane, std::size_t tile,
-              std::size_t stride, bool relu, std::int32_t* out_plane,
-              const mac_spec& spec) noexcept {
-  scalar64::mac_tile(weights, bias, out_dim, in_dim, in_plane, tile, stride,
-                     relu, out_plane, spec);
+              const std::uint8_t* rows_in_range, std::size_t out_dim,
+              std::size_t in_dim, const std::int32_t* in_plane,
+              std::size_t tile, std::size_t stride, bool relu,
+              std::int32_t* out_plane, const mac_spec& spec) noexcept {
+  scalar64::mac_tile(weights, bias, rows_in_range, out_dim, in_dim, in_plane,
+                     tile, stride, relu, out_plane, spec);
 }
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
@@ -1163,10 +1313,12 @@ namespace {
 
 struct kernel_table {
   std::int64_t (*mac_row)(const std::int32_t*, const std::int32_t*,
-                          std::size_t, std::int64_t, const mac_spec&) noexcept;
-  void (*mac_tile)(const std::int32_t*, const std::int32_t*, std::size_t,
-                   std::size_t, const std::int32_t*, std::size_t, std::size_t,
-                   bool, std::int32_t*, const mac_spec&) noexcept;
+                          std::size_t, std::int64_t, bool,
+                          const mac_spec&) noexcept;
+  void (*mac_tile)(const std::int32_t*, const std::int32_t*,
+                   const std::uint8_t*, std::size_t, std::size_t,
+                   const std::int32_t*, std::size_t, std::size_t, bool,
+                   std::int32_t*, const mac_spec&) noexcept;
   void (*quantize_block)(const float*, std::size_t, std::int32_t*,
                          const mac_spec&) noexcept;
   void (*frontend_tile)(const float* const*, std::size_t,
@@ -1195,18 +1347,18 @@ const kernel_table& active_table() noexcept {
 }  // namespace
 
 std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw,
+                     std::size_t n, std::int64_t bias_raw, bool in_range,
                      const mac_spec& spec) noexcept {
-  return active_table().mac_row(weights, inputs, n, bias_raw, spec);
+  return active_table().mac_row(weights, inputs, n, bias_raw, in_range, spec);
 }
 
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              std::size_t out_dim, std::size_t in_dim,
-              const std::int32_t* in_plane, std::size_t tile,
-              std::size_t stride, bool relu, std::int32_t* out_plane,
-              const mac_spec& spec) noexcept {
-  active_table().mac_tile(weights, bias, out_dim, in_dim, in_plane, tile,
-                          stride, relu, out_plane, spec);
+              const std::uint8_t* rows_in_range, std::size_t out_dim,
+              std::size_t in_dim, const std::int32_t* in_plane,
+              std::size_t tile, std::size_t stride, bool relu,
+              std::int32_t* out_plane, const mac_spec& spec) noexcept {
+  active_table().mac_tile(weights, bias, rows_in_range, out_dim, in_dim,
+                          in_plane, tile, stride, relu, out_plane, spec);
 }
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,

@@ -23,6 +23,9 @@
 // every sample, feeds it to its group's adder tree and the MF MAC, applies
 // the reciprocal and NORM at each group boundary, and writes the features
 // straight into the network's feature-major plane — one shot per SIMD lane.
+// Construction checks the quantized MF envelope once against
+// fx::kernels::products_in_range; when every tap is below 1.0 the kernel's
+// MF products skip the per-product clamp.
 #pragma once
 
 #include <cstdint>
@@ -80,6 +83,10 @@ class fixed_frontend {
       for (const Fixed w : mf_envelope_) {
         mf_envelope_raw_.push_back(static_cast<std::int32_t>(w.raw()));
       }
+      // With every tap below 1.0 (trained envelopes peak near 0.3) the MF
+      // products cannot reach a rail and skip the clamp.
+      taps_in_range_ = fx::kernels::products_in_range(
+          mf_envelope_raw_.data(), mf_envelope_raw_.size(), kSpec);
       for (const Fixed x : x_min_) {
         x_min_raw_.push_back(static_cast<std::int32_t>(x.raw()));
       }
@@ -198,6 +205,7 @@ class fixed_frontend {
             .group_end = layout->group_end.data(),
             .reciprocal = layout->reciprocal.data(),
             .envelope = use_mf_ ? mf_envelope_raw_.data() : nullptr,
+            .taps_in_range = taps_in_range_,
             .x_min = x_min_raw_.data(),
             .shift = shift_.data()};
   }
@@ -248,8 +256,9 @@ class fixed_frontend {
     }
     if (use_mf_) {
       const std::size_t c = 2 * groups_;
-      const std::int64_t mf = fx::kernels::mac_row(
-          spec.envelope, trace.data(), trace.size(), 0, kSpec);
+      const std::int64_t mf =
+          fx::kernels::mac_row(spec.envelope, trace.data(), trace.size(), 0,
+                               spec.taps_in_range, kSpec);
       out[c * out_stride] = static_cast<std::int32_t>(
           fx::kernels::normalize_raw(mf, spec.x_min[c], spec.shift[c], kSpec));
     }
@@ -284,6 +293,7 @@ class fixed_frontend {
   // Fast-path raw copies of the parameters above, plus the AVG layout for
   // the matched filter's trace duration.
   aligned_vector<std::int32_t> mf_envelope_raw_;
+  bool taps_in_range_ = false;
   aligned_vector<std::int32_t> x_min_raw_;
   frontend_layout layout_;
 };

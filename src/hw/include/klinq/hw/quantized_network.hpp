@@ -13,11 +13,15 @@
 // 32 bits (every ablation format except Q24.24) additionally keep each
 // layer's parameters as cache-aligned raw int32 planes and run the MAC
 // loops through the vectorized kernels in klinq/fixed/fixed_kernels.hpp
-// (branchless int64 scalar or AVX2, runtime-dispatched) — bit-identical to
-// the fixed<I,F> reference path by construction (tests/test_fixed_kernels.cpp
-// proves it adversarially). Batches run as feature-major tiles through
-// forward_logits_plane; forward_logit is the single-shot entry and, for
-// Q24.24, the int128 reference path itself.
+// (branchless int64 scalar, AVX2 or AVX-512, runtime-dispatched) —
+// bit-identical to the fixed<I,F> reference path by construction
+// (tests/test_fixed_kernels.cpp proves it adversarially). Construction also
+// records, per output row, whether the row's weights prove that the DSP
+// post-scaler's per-product clamp cannot fire (every |w| < 1, see
+// fx::kernels::products_in_range); the kernels skip the clamp on those
+// rows. Batches run as feature-major tiles through forward_logits_plane;
+// forward_logit is the single-shot entry and, for Q24.24, the int128
+// reference path itself.
 #pragma once
 
 #include <algorithm>
@@ -87,6 +91,12 @@ class quantized_network {
         for (const Fixed b : quantized.bias) {
           quantized.bias_raw.push_back(static_cast<std::int32_t>(b.raw()));
         }
+        quantized.rows_in_range.reserve(quantized.out_dim);
+        for (std::size_t o = 0; o < quantized.out_dim; ++o) {
+          quantized.rows_in_range.push_back(fx::kernels::products_in_range(
+              quantized.weights_raw.data() + o * quantized.in_dim,
+              quantized.in_dim, kSpec));
+        }
       }
       layers_.push_back(std::move(quantized));
     }
@@ -145,6 +155,17 @@ class quantized_network {
   const std::vector<Fixed>& layer_bias(std::size_t index) const {
     KLINQ_REQUIRE(index < layers_.size(), "layer_bias: index out of range");
     return layers_[index].bias;
+  }
+
+  /// One flag per output row of a layer: 1 when the row's weights pass
+  /// fx::kernels::products_in_range, so its MACs run without the
+  /// per-product clamp. Derived from the weights at construction.
+  std::span<const std::uint8_t> layer_rows_in_range(std::size_t index) const
+    requires(kernel_fast_path)
+  {
+    KLINQ_REQUIRE(index < layers_.size(),
+                  "layer_rows_in_range: index out of range");
+    return layers_[index].rows_in_range;
   }
 
   /// Shots per cache block of the batched forward: the input tile
@@ -209,7 +230,7 @@ class quantized_network {
       for (std::size_t neuron = 0; neuron < l.out_dim; ++neuron) {
         std::int64_t value = fx::kernels::mac_row(
             l.weights_raw.data() + neuron * l.in_dim, current, l.in_dim,
-            l.bias_raw[neuron], kSpec);
+            l.bias_raw[neuron], l.rows_in_range[neuron] != 0, kSpec);
         if (relu && value < 0) value = 0;
         next[neuron] = static_cast<std::int32_t>(value);
       }
@@ -253,7 +274,8 @@ class quantized_network {
     for (const layer& l : layers_) {
       std::int32_t* next = planes[which];
       fx::kernels::mac_tile(l.weights_raw.data(), l.bias_raw.data(),
-                            l.out_dim, l.in_dim, current, tile, kBatchTile,
+                            l.rows_in_range.data(), l.out_dim, l.in_dim,
+                            current, tile, kBatchTile,
                             l.act == nn::activation::relu, next, kSpec);
       current = next;
       which ^= 1;
@@ -274,9 +296,11 @@ class quantized_network {
     nn::activation act = nn::activation::identity;
     std::vector<Fixed> weights;  // (out × in) row-major
     std::vector<Fixed> bias;
-    // Fast-path twins of weights/bias as cache-aligned raw int32 planes.
+    // Fast-path twins of weights/bias as cache-aligned raw int32 planes,
+    // and each row's products_in_range flag.
     aligned_vector<std::int32_t> weights_raw;
     aligned_vector<std::int32_t> bias_raw;
+    std::vector<std::uint8_t> rows_in_range;
   };
 
   static constexpr fx::kernels::mac_spec kSpec =

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -150,25 +151,27 @@ TYPED_TEST(FixedKernelTest, MacRowTiersMatchInt128Reference) {
       const auto bias = static_cast<std::int64_t>(random_raws<Fixed>(
           rng, 1, rail_heavy)[0]);
       const std::int64_t reference = ref_mac_row<Fixed>(weights, inputs, bias);
+      const bool in_range =
+          kernels::products_in_range(weights.data(), n, spec);
       ASSERT_EQ(kernels::scalar64::mac_row(weights.data(), inputs.data(), n,
-                                           bias, spec),
+                                           bias, in_range, spec),
                 reference)
           << "scalar64 n=" << n << " trial=" << trial;
       if (kernels::avx2_available()) {
         ASSERT_EQ(kernels::avx2::mac_row(weights.data(), inputs.data(), n,
-                                         bias, spec),
+                                         bias, in_range, spec),
                   reference)
             << "avx2 n=" << n << " trial=" << trial;
       }
       if (kernels::avx512_available()) {
         ASSERT_EQ(kernels::avx512::mac_row(weights.data(), inputs.data(), n,
-                                           bias, spec),
+                                           bias, in_range, spec),
                   reference)
             << "avx512 n=" << n << " trial=" << trial;
       }
-      ASSERT_EQ(
-          kernels::mac_row(weights.data(), inputs.data(), n, bias, spec),
-          reference)
+      ASSERT_EQ(kernels::mac_row(weights.data(), inputs.data(), n, bias,
+                                 in_range, spec),
+                reference)
           << "dispatched n=" << n << " trial=" << trial;
     }
   }
@@ -186,31 +189,115 @@ TYPED_TEST(FixedKernelTest, MacRowSaturatesAccumulatorAtExtractionOnly) {
   std::vector<std::int32_t> weights(64, one_raw);
   std::vector<std::int32_t> inputs(64, max32);
   for (std::size_t i = 32; i < 64; ++i) inputs[i] = -max32;  // cancels
+  // A weight of exactly 1.0 fails the row proof: the clamped path runs.
+  ASSERT_FALSE(kernels::products_in_range(weights.data(), 64, spec));
   const std::int64_t balanced = ref_mac_row<Fixed>(weights, inputs, 0);
   EXPECT_EQ(kernels::scalar64::mac_row(weights.data(), inputs.data(), 64, 0,
-                                       spec),
+                                       false, spec),
             balanced);
   inputs.assign(64, max32);
   const std::int64_t pinned = ref_mac_row<Fixed>(weights, inputs, 0);
   EXPECT_EQ(pinned, Fixed::raw_max);
   EXPECT_EQ(kernels::scalar64::mac_row(weights.data(), inputs.data(), 64, 0,
-                                       spec),
+                                       false, spec),
             pinned);
   if (kernels::avx2_available()) {
-    EXPECT_EQ(
-        kernels::avx2::mac_row(weights.data(), inputs.data(), 64, 0, spec),
-        pinned);
+    EXPECT_EQ(kernels::avx2::mac_row(weights.data(), inputs.data(), 64, 0,
+                                     false, spec),
+              pinned);
   }
   if (kernels::avx512_available()) {
-    EXPECT_EQ(
-        kernels::avx512::mac_row(weights.data(), inputs.data(), 64, 0, spec),
-        pinned);
+    EXPECT_EQ(kernels::avx512::mac_row(weights.data(), inputs.data(), 64, 0,
+                                       false, spec),
+              pinned);
   }
 }
 
 // ---------------------------------------------------------------------------
 // mac_tile: every lane of every neuron vs the reference, both activations
 // ---------------------------------------------------------------------------
+
+/// Lanes of the output planes beyond the tile must come back untouched.
+constexpr std::int32_t kUntouchedLane = 0x5eed;
+
+/// mac_tile's reference, lane by lane through the accumulator arithmetic.
+template <class Fixed>
+std::vector<std::int32_t> ref_mac_tile(const std::vector<std::int32_t>& weights,
+                                       const std::vector<std::int32_t>& bias,
+                                       std::size_t in_dim,
+                                       const std::vector<std::int32_t>& plane,
+                                       std::size_t tile, std::size_t stride,
+                                       bool relu) {
+  const std::size_t out_dim = bias.size();
+  std::vector<std::int32_t> expected(out_dim * stride, kUntouchedLane);
+  for (std::size_t neuron = 0; neuron < out_dim; ++neuron) {
+    for (std::size_t s = 0; s < tile; ++s) {
+      fixed_accumulator<Fixed> acc;
+      for (std::size_t i = 0; i < in_dim; ++i) {
+        acc.add(Fixed::from_raw(weights[neuron * in_dim + i]) *
+                Fixed::from_raw(plane[i * stride + s]));
+      }
+      acc.add_raw(bias[neuron]);
+      Fixed value = acc.result();
+      if (relu && value.sign_bit()) value = Fixed::zero();
+      expected[neuron * stride + s] = static_cast<std::int32_t>(value.raw());
+    }
+  }
+  return expected;
+}
+
+/// The per-row flags quantized_network derives: products_in_range per row.
+std::vector<std::uint8_t> row_flags(const std::vector<std::int32_t>& weights,
+                                    std::size_t out_dim, std::size_t in_dim,
+                                    const kernels::mac_spec& spec) {
+  std::vector<std::uint8_t> flags(out_dim);
+  for (std::size_t o = 0; o < out_dim; ++o) {
+    flags[o] = kernels::products_in_range(weights.data() + o * in_dim, in_dim,
+                                          spec);
+  }
+  return flags;
+}
+
+/// Runs every tier the host has (and the dispatched entry) over one layer
+/// and expects each to match the int128 reference, lanes past the tile
+/// untouched.
+template <class Fixed>
+void expect_mac_tile_tiers(const std::vector<std::int32_t>& weights,
+                           const std::vector<std::int32_t>& bias,
+                           const std::vector<std::uint8_t>& rows_in_range,
+                           std::size_t in_dim,
+                           const std::vector<std::int32_t>& plane,
+                           std::size_t tile, bool relu,
+                           const std::string& context) {
+  using tile_fn = void (*)(const std::int32_t*, const std::int32_t*,
+                           const std::uint8_t*, std::size_t, std::size_t,
+                           const std::int32_t*, std::size_t, std::size_t,
+                           bool, std::int32_t*,
+                           const kernels::mac_spec&) noexcept;
+  struct tier {
+    const char* name;
+    tile_fn run;
+    bool available;
+  };
+  const tier tiers[] = {
+      {"scalar64", kernels::scalar64::mac_tile, true},
+      {"avx2", kernels::avx2::mac_tile, kernels::avx2_available()},
+      {"avx512", kernels::avx512::mac_tile, kernels::avx512_available()},
+      {"dispatched", kernels::mac_tile, true},
+  };
+  constexpr std::size_t stride = kernels::max_tile_lanes;
+  const std::size_t out_dim = bias.size();
+  const auto expected =
+      ref_mac_tile<Fixed>(weights, bias, in_dim, plane, tile, stride, relu);
+  for (const tier& t : tiers) {
+    if (!t.available) continue;
+    std::vector<std::int32_t> actual(out_dim * stride, kUntouchedLane);
+    t.run(weights.data(), bias.data(), rows_in_range.data(), out_dim, in_dim,
+          plane.data(), tile, stride, relu, actual.data(),
+          kernels::spec_of<Fixed>());
+    EXPECT_EQ(actual, expected) << t.name << " " << context;
+  }
+}
 
 TYPED_TEST(FixedKernelTest, MacTileTiersMatchInt128Reference) {
   using Fixed = TypeParam;
@@ -230,44 +317,269 @@ TYPED_TEST(FixedKernelTest, MacTileTiersMatchInt128Reference) {
         const auto lane = random_raws<Fixed>(rng, tile, true);
         std::copy(lane.begin(), lane.end(), plane.begin() + i * stride);
       }
-      // Reference, lane by lane through the accumulator arithmetic.
-      std::vector<std::int32_t> expected(out_dim * stride, 0);
-      for (std::size_t neuron = 0; neuron < out_dim; ++neuron) {
-        for (std::size_t s = 0; s < tile; ++s) {
-          fixed_accumulator<Fixed> acc;
+      expect_mac_tile_tiers<Fixed>(
+          weights, bias_raws, row_flags(weights, out_dim, in_dim, spec),
+          in_dim, plane, tile, relu,
+          "tile=" + std::to_string(tile) + " relu=" + std::to_string(relu));
+    }
+  }
+}
+
+/// Weights that pass the row proof, as trained students have them: a
+/// quarter on ±(2^F - 1), the largest in-range magnitude, an eighth on
+/// ±2^(F-1) (0.5, whose products with odd inputs land exactly on half-ULP
+/// ties), the rest uniform in (-1, 1).
+template <class Fixed>
+std::vector<std::int32_t> in_range_raws(xoshiro256& rng, std::size_t n) {
+  const std::int64_t limit = (std::int64_t{1} << Fixed::frac_bits) - 1;
+  const std::int64_t half = std::int64_t{1} << (Fixed::frac_bits - 1);
+  std::vector<std::int32_t> raws(n);
+  for (auto& raw : raws) {
+    const double pick = rng.uniform(0.0, 1.0);
+    const std::int64_t sign = rng.uniform(0.0, 1.0) < 0.5 ? -1 : 1;
+    const std::int64_t magnitude =
+        pick < 0.25    ? limit
+        : pick < 0.375 ? half
+                       : static_cast<std::int64_t>(rng.uniform(
+                             0.0, static_cast<double>(limit)));
+    raw = static_cast<std::int32_t>(sign * magnitude);
+  }
+  return raws;
+}
+
+/// Inputs that drive the largest products and the rounding corners: both
+/// rails, odd values (ties against a 0.5 weight), exact multiples of 2^F
+/// of both signs, and random full-range registers.
+template <class Fixed>
+std::vector<std::int32_t> corner_raws(xoshiro256& rng, std::size_t n) {
+  const std::int64_t one = std::int64_t{1} << Fixed::frac_bits;
+  std::vector<std::int32_t> raws(n);
+  for (auto& raw : raws) {
+    const double pick = rng.uniform(0.0, 1.0);
+    const auto k = static_cast<std::int64_t>(rng.uniform(-64.0, 64.0));
+    raw = static_cast<std::int32_t>(
+        pick < 0.15   ? Fixed::raw_max
+        : pick < 0.3  ? Fixed::raw_min
+        : pick < 0.45 ? 2 * k + 1
+        : pick < 0.55 ? k * one
+                      : static_cast<std::int64_t>(rng.uniform(
+                            static_cast<double>(Fixed::raw_min),
+                            static_cast<double>(Fixed::raw_max))));
+  }
+  return raws;
+}
+
+TYPED_TEST(FixedKernelTest, MacTileInRangeRowsMatchInt128Reference) {
+  using Fixed = TypeParam;
+  const auto spec = kernels::spec_of<Fixed>();
+  constexpr std::size_t stride = kernels::max_tile_lanes;
+  xoshiro256 rng(2029);
+  for (const std::size_t out_dim : {1, 3, 4, 5, 8, 16}) {
+    for (const std::size_t in_dim : {1, 31, 201}) {
+      for (const std::size_t tile : {1, 3, 8, 15, 16, 17, 33, 64}) {
+        for (const bool relu : {false, true}) {
+          const auto weights = in_range_raws<Fixed>(rng, out_dim * in_dim);
+          const auto flags = row_flags(weights, out_dim, in_dim, spec);
+          ASSERT_TRUE(std::all_of(flags.begin(), flags.end(),
+                                  [](std::uint8_t f) { return f == 1; }));
+          const auto bias = random_raws<Fixed>(rng, out_dim, true);
+          std::vector<std::int32_t> plane(in_dim * stride, kUntouchedLane);
           for (std::size_t i = 0; i < in_dim; ++i) {
-            acc.add(Fixed::from_raw(weights[neuron * in_dim + i]) *
-                    Fixed::from_raw(plane[i * stride + s]));
+            const auto lane = corner_raws<Fixed>(rng, tile);
+            std::copy(lane.begin(), lane.end(), plane.begin() + i * stride);
           }
-          acc.add_raw(bias_raws[neuron]);
-          Fixed value = acc.result();
-          if (relu && value.sign_bit()) value = Fixed::zero();
-          expected[neuron * stride + s] =
-              static_cast<std::int32_t>(value.raw());
+          expect_mac_tile_tiers<Fixed>(
+              weights, bias, flags, in_dim, plane, tile, relu,
+              "out=" + std::to_string(out_dim) + " in=" +
+                  std::to_string(in_dim) + " tile=" + std::to_string(tile) +
+                  " relu=" + std::to_string(relu));
         }
       }
-      std::vector<std::int32_t> actual(out_dim * stride, 0);
-      kernels::scalar64::mac_tile(weights.data(), bias_raws.data(), out_dim,
-                                  in_dim, plane.data(), tile, stride, relu,
-                                  actual.data(), spec);
-      EXPECT_EQ(actual, expected) << "scalar64 tile=" << tile
-                                  << " relu=" << relu;
-      if (kernels::avx2_available()) {
-        std::vector<std::int32_t> simd(out_dim * stride, 0);
-        kernels::avx2::mac_tile(weights.data(), bias_raws.data(), out_dim,
-                                in_dim, plane.data(), tile, stride, relu,
-                                simd.data(), spec);
-        EXPECT_EQ(simd, expected) << "avx2 tile=" << tile << " relu=" << relu;
+    }
+  }
+}
+
+// One row of a 4-row block fails the proof (a weight of -1.0, whose product
+// with raw_min passes raw_max, or a rail weight): the whole block must keep
+// the clamp, while the other blocks and the tail rows run without it.
+TYPED_TEST(FixedKernelTest, MacTileMixedBlockKeepsTheClamp) {
+  using Fixed = TypeParam;
+  const auto spec = kernels::spec_of<Fixed>();
+  constexpr std::size_t stride = kernels::max_tile_lanes;
+  const std::size_t out_dim = 9;  // two 4-row blocks and a tail row
+  const std::size_t in_dim = 31;
+  const std::size_t tile = 37;
+  const auto min32 = static_cast<std::int32_t>(Fixed::raw_min);
+  const auto max32 = static_cast<std::int32_t>(Fixed::raw_max);
+  const auto minus_one =
+      static_cast<std::int32_t>(-(std::int64_t{1} << Fixed::frac_bits));
+  xoshiro256 rng(2030);
+  for (const std::int32_t culprit : {minus_one, max32, min32}) {
+    for (const std::size_t row : {std::size_t{2}, std::size_t{8}}) {
+      auto weights = in_range_raws<Fixed>(rng, out_dim * in_dim);
+      weights[row * in_dim + 5] = culprit;
+      // Feature 5 drives the culprit's product past a rail; feature 6 adds
+      // a product of about -8 that pulls the sum back inside, so the
+      // per-product clamp decides the output, not the root's saturation.
+      weights[row * in_dim + 6] = static_cast<std::int32_t>(
+          -((std::int64_t{1} << Fixed::frac_bits) - 1));
+      std::vector<std::int32_t> plane(in_dim * stride, 0);
+      for (std::size_t s = 0; s < tile; ++s) {
+        plane[5 * stride + s] = s % 2 == 0 ? min32 : max32;
+        plane[6 * stride + s] = 8 << Fixed::frac_bits;
       }
-      if (kernels::avx512_available()) {
-        std::vector<std::int32_t> simd(out_dim * stride, 0);
-        kernels::avx512::mac_tile(weights.data(), bias_raws.data(), out_dim,
-                                  in_dim, plane.data(), tile, stride, relu,
-                                  simd.data(), spec);
-        EXPECT_EQ(simd, expected)
-            << "avx512 tile=" << tile << " relu=" << relu;
+      const auto flags = row_flags(weights, out_dim, in_dim, spec);
+      for (std::size_t o = 0; o < out_dim; ++o) {
+        ASSERT_EQ(flags[o], o == row ? 0 : 1) << "row " << o;
+      }
+      const std::vector<std::int32_t> bias(out_dim, 0);
+      const std::string context = "culprit=" + std::to_string(culprit) +
+                                  " row=" + std::to_string(row);
+      expect_mac_tile_tiers<Fixed>(weights, bias, flags, in_dim, plane, tile,
+                                   false, context);
+      // The case is sharp: the same block run without the clamp differs.
+      const std::vector<std::uint8_t> wrong(out_dim, 1);
+      std::vector<std::int32_t> unclamped(out_dim * stride, kUntouchedLane);
+      kernels::scalar64::mac_tile(weights.data(), bias.data(), wrong.data(),
+                                  out_dim, in_dim, plane.data(), tile, stride,
+                                  false, unclamped.data(), spec);
+      EXPECT_NE(unclamped, ref_mac_tile<Fixed>(weights, bias, in_dim, plane,
+                                               tile, stride, false))
+          << context;
+    }
+  }
+}
+
+TYPED_TEST(FixedKernelTest, MacRowInRangeMatchesInt128Reference) {
+  using Fixed = TypeParam;
+  const auto spec = kernels::spec_of<Fixed>();
+  xoshiro256 rng(2031);
+  for (const std::size_t n : {1, 3, 7, 8, 15, 16, 17, 31, 201, 1000}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const auto weights = in_range_raws<Fixed>(rng, n);
+      const auto inputs = corner_raws<Fixed>(rng, n);
+      const auto bias =
+          static_cast<std::int64_t>(random_raws<Fixed>(rng, 1, true)[0]);
+      ASSERT_TRUE(kernels::products_in_range(weights.data(), n, spec));
+      const std::int64_t reference = ref_mac_row<Fixed>(weights, inputs, bias);
+      // The clamped path is valid for any row; the short one needs the proof.
+      for (const bool in_range : {true, false}) {
+        const std::string context = "n=" + std::to_string(n) +
+                                    " in_range=" + std::to_string(in_range);
+        ASSERT_EQ(kernels::scalar64::mac_row(weights.data(), inputs.data(), n,
+                                             bias, in_range, spec),
+                  reference)
+            << "scalar64 " << context;
+        if (kernels::avx2_available()) {
+          ASSERT_EQ(kernels::avx2::mac_row(weights.data(), inputs.data(), n,
+                                           bias, in_range, spec),
+                    reference)
+              << "avx2 " << context;
+        }
+        if (kernels::avx512_available()) {
+          ASSERT_EQ(kernels::avx512::mac_row(weights.data(), inputs.data(), n,
+                                             bias, in_range, spec),
+                    reference)
+              << "avx512 " << context;
+        }
+        ASSERT_EQ(kernels::mac_row(weights.data(), inputs.data(), n, bias,
+                                   in_range, spec),
+                  reference)
+            << "dispatched " << context;
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The row proof is chosen exactly when it holds
+// ---------------------------------------------------------------------------
+
+TYPED_TEST(FixedKernelTest, ProductsInRangeHoldsExactlyBelowOne) {
+  using Fixed = TypeParam;
+  const auto spec = kernels::spec_of<Fixed>();
+  const std::int64_t one = std::int64_t{1} << Fixed::frac_bits;
+  const auto in_range = [&](std::vector<std::int64_t> raws) {
+    std::vector<std::int32_t> row(raws.begin(), raws.end());
+    return kernels::products_in_range(row.data(), row.size(), spec);
+  };
+  EXPECT_TRUE(in_range({}));
+  EXPECT_TRUE(in_range({0}));
+  EXPECT_TRUE(in_range({one - 1}));
+  EXPECT_TRUE(in_range({-(one - 1)}));
+  EXPECT_TRUE(in_range({one - 1, -(one - 1), 0, 1, -1}));
+  EXPECT_FALSE(in_range({one}));
+  EXPECT_FALSE(in_range({-one}));
+  EXPECT_FALSE(in_range({Fixed::raw_max}));
+  EXPECT_FALSE(in_range({Fixed::raw_min}));
+  EXPECT_FALSE(in_range({0, one - 1, 1, one}));  // the last entry counts
+
+  // The bound is tight: the largest in-range weight times either rail
+  // stays inside the rails, while -1.0 times raw_min already passes one.
+  const auto rounded = [&](std::int64_t w, std::int64_t x) {
+    return kernels::round_shift(w * x, spec.frac_bits);
+  };
+  for (const std::int64_t w : {one - 1, -(one - 1)}) {
+    for (const std::int64_t x : {Fixed::raw_max, Fixed::raw_min}) {
+      EXPECT_LE(rounded(w, x), Fixed::raw_max) << w << " * " << x;
+      EXPECT_GE(rounded(w, x), Fixed::raw_min) << w << " * " << x;
+    }
+  }
+  EXPECT_GT(rounded(-one, Fixed::raw_min), Fixed::raw_max);
+
+  // Random rows: true exactly when max |w| <= 2^F - 1.
+  xoshiro256 rng(2032);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform(1.0, 40.0));
+    auto row = in_range_raws<Fixed>(rng, n);
+    if (trial % 2 == 1) {
+      row[static_cast<std::size_t>(rng.uniform(0.0, static_cast<double>(n))) %
+          n] = random_raws<Fixed>(rng, 1, true)[0];
+    }
+    std::int64_t largest = 0;
+    for (const std::int32_t w : row) {
+      largest = std::max(largest, std::abs(static_cast<std::int64_t>(w)));
+    }
+    ASSERT_EQ(kernels::products_in_range(row.data(), n, spec),
+              largest <= one - 1)
+        << "trial " << trial;
+  }
+}
+
+TYPED_TEST(FixedKernelTest, QuantizedNetworkRowFlagsMatchTheProof) {
+  using Fixed = TypeParam;
+  const auto spec = kernels::spec_of<Fixed>();
+  xoshiro256 rng(2033);
+  auto float_net = nn::make_mlp(31, {16, 8});
+  float_net.initialize(nn::weight_init::he_normal, rng);
+  // Every weight of layer 0 inside (-1, 1) except one at exactly 1.0 in
+  // row 6; layer 1 keeps its He-normal draws.
+  auto& first = float_net.layer(0).weights();
+  for (std::size_t o = 0; o < first.rows(); ++o) {
+    for (std::size_t i = 0; i < first.cols(); ++i) {
+      first(o, i) = static_cast<float>(rng.uniform(-0.9, 0.9));
+    }
+  }
+  first(6, 17) = 1.0f;
+  const hw::quantized_network<Fixed> net(float_net);
+  const auto rows = net.layer_rows_in_range(0);
+  ASSERT_EQ(rows.size(), 16u);
+  for (std::size_t o = 0; o < rows.size(); ++o) {
+    EXPECT_EQ(rows[o], o == 6 ? 0 : 1) << "row " << o;
+  }
+  for (std::size_t l = 0; l < net.layer_count(); ++l) {
+    const auto& weights = net.layer_weights(l);
+    const std::size_t out_dim = net.layer_bias(l).size();
+    const std::size_t in_dim = weights.size() / out_dim;
+    std::vector<std::int32_t> raws;
+    for (const Fixed w : weights) {
+      raws.push_back(static_cast<std::int32_t>(w.raw()));
+    }
+    const auto expected = row_flags(raws, out_dim, in_dim, spec);
+    const auto flags = net.layer_rows_in_range(l);
+    EXPECT_TRUE(std::equal(flags.begin(), flags.end(), expected.begin(),
+                           expected.end()))
+        << "layer " << l;
   }
 }
 
@@ -540,6 +852,96 @@ TYPED_TEST(FixedKernelTest, FrontendTileTiersMatchFixedReference) {
       for (std::size_t c = 0; c < width; ++c) {
         ASSERT_EQ(row[c], expected[s][c].raw())
             << "extract_raw N=" << shape.n << " feature=" << c;
+      }
+    }
+  }
+}
+
+// A trained-style envelope (every tap below 1.0) puts the MF products on
+// the unclamped path; taps at exactly -1.0 put them back on the clamp.
+// Either way every tier equals the fixed<I,F> reference, and the clamped
+// path stays valid for in-range taps too.
+TYPED_TEST(FixedKernelTest, FrontendTileInRangeTapsMatchFixedReference) {
+  using Fixed = TypeParam;
+  using tile_fn = void (*)(const float* const*, std::size_t,
+                           const kernels::frontend_spec&, std::int32_t*,
+                           std::size_t, const kernels::mac_spec&) noexcept;
+  struct tier {
+    const char* name;
+    tile_fn run;
+    bool available;
+  };
+  const tier tiers[] = {
+      {"scalar64", kernels::scalar64::frontend_tile, true},
+      {"avx2", kernels::avx2::frontend_tile, kernels::avx2_available()},
+      {"avx512", kernels::avx512::frontend_tile, kernels::avx512_available()},
+      {"dispatched", kernels::frontend_tile, true},
+  };
+  const auto spec = kernels::spec_of<Fixed>();
+  constexpr std::size_t stride = kernels::max_tile_lanes;
+  const frontend_case shape{97, 10, true};
+  const std::size_t width = 2 * shape.groups + 1;
+  const auto below_one = static_cast<float>(1.0 - Fixed::resolution());
+  xoshiro256 rng(2034);
+  for (const bool taps_in_range : {true, false}) {
+    std::vector<float> envelope(2 * shape.n);
+    for (std::size_t i = 0; i < envelope.size(); ++i) {
+      envelope[i] = i % 5 == 0   ? below_one
+                    : i % 5 == 1 ? -below_one
+                                 : static_cast<float>(rng.uniform(-0.99, 0.99));
+      if (!taps_in_range && i % 7 == 3) envelope[i] = -1.0f;
+    }
+    std::vector<float> x_min(width);
+    std::vector<int> shift(width);
+    for (std::size_t c = 0; c < width; ++c) {
+      x_min[c] = static_cast<float>(rng.uniform(-2.0, 2.0));
+      shift[c] = kShiftCycle[c % std::size(kShiftCycle)];
+    }
+    const hw::fixed_frontend<Fixed> frontend(
+        pipeline_with(shape.groups, envelope, x_min, shift));
+    hw::frontend_layout spare;
+    const kernels::frontend_spec chosen = frontend.kernel_spec(shape.n, spare);
+    ASSERT_EQ(chosen.taps_in_range, taps_in_range);
+    ASSERT_EQ(chosen.taps_in_range,
+              kernels::products_in_range(chosen.envelope, 2 * shape.n, spec));
+    std::vector<std::vector<float>> traces;
+    std::vector<const float*> lanes_in;
+    std::vector<std::vector<Fixed>> expected;
+    for (std::size_t s = 0; s < stride; ++s) {
+      traces.push_back(adversarial_trace<Fixed>(shape.n, rng));
+      lanes_in.push_back(traces.back().data());
+      expected.push_back(reference_features(frontend, traces.back(), shape.n));
+    }
+    kernels::frontend_spec clamped = chosen;
+    clamped.taps_in_range = false;
+    for (const kernels::frontend_spec& fspec : {chosen, clamped}) {
+      for (const tier& t : tiers) {
+        if (!t.available) continue;
+        for (const std::size_t lanes : {1, 3, 4, 5, 8, 9, 17, 64}) {
+          std::vector<std::int32_t> plane(width * stride, kUntouchedLane);
+          t.run(lanes_in.data(), lanes, fspec, plane.data(), stride, spec);
+          for (std::size_t c = 0; c < width; ++c) {
+            for (std::size_t s = 0; s < stride; ++s) {
+              const std::int64_t want =
+                  s < lanes ? expected[s][c].raw() : kUntouchedLane;
+              ASSERT_EQ(plane[c * stride + s], want)
+                  << t.name << " taps_in_range=" << fspec.taps_in_range
+                  << " lanes=" << lanes << " feature=" << c << " shot=" << s;
+            }
+          }
+        }
+      }
+    }
+    // extract_raw runs the MF through mac_row with the same flag.
+    std::vector<std::int32_t> raw(2 * shape.n);
+    std::vector<std::int32_t> row(width);
+    for (std::size_t s = 0; s < 8; ++s) {
+      hw::fixed_frontend<Fixed>::quantize_trace_raw(traces[s], raw);
+      frontend.extract_raw(raw, shape.n, row.data(), 1);
+      for (std::size_t c = 0; c < width; ++c) {
+        ASSERT_EQ(row[c], expected[s][c].raw())
+            << "extract_raw taps_in_range=" << taps_in_range
+            << " feature=" << c;
       }
     }
   }

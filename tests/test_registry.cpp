@@ -15,6 +15,7 @@
 //     assignment fidelity recovers to the pre-drift baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -287,6 +288,52 @@ TEST(ModelRegistry, PersistenceRoundTripsStateAndBits) {
   const auto expected =
       expected_registers(registry::model_snapshot(f.student0_a), f.data0.test);
   const auto actual = expected_registers(*reg->at(0, 1), f.data0.test);
+  for (std::size_t r = 0; r < expected.size(); ++r) {
+    ASSERT_EQ(actual[r].raw(), expected[r].raw()) << "row " << r;
+  }
+}
+
+// Each layer row's clamp proof (fx::kernels::products_in_range) is derived
+// from the quantized weights, so a snapshot reloaded from disk must carry
+// the same flags, and serve the same registers, as the one saved; on a
+// trained student every flag must equal the proof over its row.
+TEST(Snapshot, ReloadFromDiskKeepsRowProofs) {
+  auto& f = fixture();
+  const std::string dir = "./test_registry_row_proofs";
+  std::filesystem::remove_all(dir);
+  const registry::model_snapshot original(f.student0_a);
+  {
+    registry::model_registry reg(1);
+    reg.publish(0, registry::model_snapshot(f.student0_a));
+    reg.save_directory(dir);
+  }
+  const auto reg = registry::model_registry::load_directory(dir);
+  std::filesystem::remove_all(dir);
+  const auto& saved = original.hardware().net();
+  const auto& loaded = reg->at(0, 1)->hardware().net();
+  ASSERT_EQ(loaded.layer_count(), saved.layer_count());
+  const auto spec = fx::kernels::spec_of<q16_16>();
+  for (std::size_t l = 0; l < saved.layer_count(); ++l) {
+    const auto saved_flags = saved.layer_rows_in_range(l);
+    const auto loaded_flags = loaded.layer_rows_in_range(l);
+    EXPECT_TRUE(std::equal(saved_flags.begin(), saved_flags.end(),
+                           loaded_flags.begin(), loaded_flags.end()))
+        << "layer " << l;
+    const auto& weights = saved.layer_weights(l);
+    const std::size_t in_dim = weights.size() / saved_flags.size();
+    for (std::size_t o = 0; o < saved_flags.size(); ++o) {
+      std::vector<std::int32_t> row;
+      for (std::size_t i = 0; i < in_dim; ++i) {
+        row.push_back(static_cast<std::int32_t>(weights[o * in_dim + i].raw()));
+      }
+      EXPECT_EQ(saved_flags[o] != 0,
+                fx::kernels::products_in_range(row.data(), in_dim, spec))
+          << "layer " << l << " row " << o;
+    }
+  }
+  const auto expected = expected_registers(original, f.data0.test);
+  const auto actual = expected_registers(*reg->at(0, 1), f.data0.test);
+  ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t r = 0; r < expected.size(); ++r) {
     ASSERT_EQ(actual[r].raw(), expected[r].raw()) << "row " << r;
   }
