@@ -28,7 +28,10 @@ namespace klinq {
 
 class thread_pool {
  public:
-  /// Creates `worker_count` workers; 0 means std::thread::hardware_concurrency.
+  /// Sized for `worker_count` participants; parallel_for's caller is one, so
+  /// worker_count - 1 threads are spawned. 0 means one per CPU the calling
+  /// thread may run on (its affinity mask, or hardware_concurrency() when
+  /// the mask cannot be read).
   explicit thread_pool(std::size_t worker_count = 0);
   ~thread_pool();
 
@@ -88,7 +91,8 @@ class thread_pool {
   bool stopping_ = false;
 };
 
-/// Process-wide pool sized to the hardware; created on first use.
+/// Process-wide pool sized to the CPUs the process may run on (see the
+/// thread_pool constructor); created on first use.
 thread_pool& global_thread_pool();
 
 /// Convenience wrappers over the global pool.

@@ -1,5 +1,7 @@
 #include "klinq/common/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
@@ -13,6 +15,18 @@ namespace {
 // queueing and running inline; parallel_for dispatches chunks regardless
 // because its work-stealing wait keeps nested dispatch deadlock-free.
 thread_local bool t_on_pool_worker = false;
+
+/// CPUs in the calling thread's affinity mask (a `taskset` or cgroup cpuset
+/// narrows it below the hardware), or hardware_concurrency() when the mask
+/// cannot be read.
+std::size_t affinity_cpus() noexcept {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+  return std::thread::hardware_concurrency();
+}
 
 struct worker_scope {
   bool previous;
@@ -28,7 +42,7 @@ bool thread_pool::on_worker() noexcept { return t_on_pool_worker; }
 
 thread_pool::thread_pool(std::size_t worker_count) {
   if (worker_count == 0) {
-    worker_count = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    worker_count = std::max<std::size_t>(1, affinity_cpus());
   }
   // The calling thread participates in parallel_for, so spawn one fewer.
   const std::size_t spawned = worker_count > 1 ? worker_count - 1 : 0;

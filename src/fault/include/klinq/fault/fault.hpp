@@ -53,9 +53,11 @@
 //                           flush round is skipped — a stalled sender)
 //   net.decode              request-payload decode (throw => typed error
 //                           frame, connection closed)
-//   net.complete            completion-thread handoff (delay => responses
-//                           stall while inflight accumulates — admission
-//                           and shedding fodder)
+//   net.complete            the poll thread's claim of one finished ticket
+//                           (drop => the ticket stays queued for a later
+//                           round, like net.write's skipped flush; throw is
+//                           swallowed, the ticket is never lost; delay =>
+//                           the poll thread stalls)
 //
 // Thread-safety: every entry point is safe to call concurrently. Firing
 // decisions use a per-site atomic counter hashed with the seed, so they are

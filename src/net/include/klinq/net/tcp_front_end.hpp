@@ -5,30 +5,26 @@
 // hostile clients, partial frames, disconnects mid-request, and saturation
 // are treated as the normal case.
 //
-// Threading (two threads, both owned by the front end):
+// Threading: one thread, a klinq::reactor poll thread owned by the front
+// end. It accepts, enforcing the connection cap (over-cap connections, and
+// every new one while draining, get a best-effort busy frame and are
+// closed), and owns every connection socket: readiness-driven reads/writes,
+// frame parsing, admission control, submission into the server,
+// idle/slow-loris enforcement, and eviction. No other thread touches a
+// socket. The server's on_complete doorbell, on whatever thread finished the
+// request, only appends the ticket id to a list and wakes the poll thread;
+// once per round the poll thread claims each listed ticket with wait(),
+// encodes the response into the owning connection's write queue (or drops
+// it, counted, when the client is gone) and flushes that queue at once.
 //
-//   poll loop  a klinq::reactor thread. Accepts, enforcing the connection
-//              cap (over-cap connections, and every new one while draining,
-//              get a best-effort busy frame and are closed), and owns every
-//              connection socket: readiness-driven reads/writes, frame
-//              parsing, admission control, submission into the server,
-//              idle/slow-loris enforcement, and eviction. No other thread
-//              touches a socket.
-//   completion drains the doorbell queue fed by the server's on_complete
-//              callback: claims each finished ticket with wait(), encodes
-//              the response into the owning connection's write queue (or
-//              drops it, counted, when the client is gone) and wakes the
-//              poll loop.
-//
-// Locking: `state_mutex_` guards connections and the ticket map;
-// `completion_mutex_` guards only the doorbell queue. The poll loop holds
-// state_mutex_ across try_submit + ticket registration, and the on_complete
-// doorbell (which may fire inline during try_submit on a workerless pool)
-// touches only the completion queue — so the completion thread, which takes
-// state_mutex_ after popping, can never observe an unregistered ticket.
-// Lock order is state → completion and state → server everywhere; the
-// completion side never nests into state-holding server calls it didn't
-// originate.
+// Locking: `state_mutex_` guards connections and the ticket map against the
+// readers on other threads — stats(), connections(), the metrics collector
+// and shutdown(). The doorbell's list has a leaf lock of its own, so the
+// doorbell may fire anywhere, inline inside try_submit included. Only the
+// poll thread registers and claims tickets, so a ticket is registered before
+// it can be claimed, by construction; a claim erases its ticket under
+// state_mutex_, so a cancel() made under it (a disconnect, or shutdown()'s
+// force-cancel) never meets a consumed ticket. Lock order: state → server.
 //
 // Robustness contracts (each has a test in tests/test_net.cpp and a chaos
 // scenario in `klinq_serve --listen --chaos`):
@@ -44,8 +40,8 @@
 //     reconciled like a disconnect.
 //   * Disconnect reconciliation: every in-flight ticket of a dead
 //     connection is cancelled through the server's cancel() path and its
-//     result claimed and dropped (counted) by the completion thread —
-//     tickets are never leaked, so ticket accounting reconciles exactly.
+//     result claimed and dropped (counted) by the poll thread — tickets are
+//     never leaked, so ticket accounting reconciles exactly.
 //   * Graceful drain: stop accepting → shed new requests (busy/draining) →
 //     resolve every in-flight ticket → flush write queues → goodbye frames
 //     → close. Bounded by drain_timeout_seconds, then force-cancel.
@@ -179,7 +175,7 @@ struct connection_info {
 class tcp_front_end {
  public:
   /// Binds, listens, installs the server's completion doorbell, and starts
-  /// the two service threads (invalid_argument_error on a bad config or
+  /// the poll thread (invalid_argument_error on a bad config or
   /// host, io_error when the port cannot be bound). The server is borrowed
   /// and must outlive the front end; the front end must be its only ticket
   /// consumer while running (it installs server.set_on_complete, so the
@@ -198,8 +194,8 @@ class tcp_front_end {
   /// Graceful drain and stop (idempotent): stop accepting, shed new
   /// requests, resolve every in-flight ticket (bounded by
   /// drain_timeout_seconds, then force-cancel), flush write queues, send
-  /// goodbye frames, close every connection, join the threads, and uninstall
-  /// the server doorbell.
+  /// goodbye frames, close every connection, join the poll thread, and
+  /// uninstall the server doorbell.
   void shutdown();
 
   front_end_stats stats() const;

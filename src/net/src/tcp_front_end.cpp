@@ -10,7 +10,6 @@
 #include <chrono>
 #include <optional>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -150,8 +149,8 @@ front_end_config front_end_config::from_env(front_end_config base) {
 }
 
 struct tcp_front_end::impl : reactor::owner {
-  // One client connection, owned by the poll loop; queue/counter fields are
-  // shared with the completion thread under state_mutex_.
+  // One client connection, owned by the poll thread; other threads read it
+  // (stats, /statusz) and shutdown() queues goodbyes under state_mutex_.
   struct connection {
     int fd = -1;
     std::uint64_t id = 0;
@@ -204,7 +203,7 @@ struct tcp_front_end::impl : reactor::owner {
     serve::lane_class lane = serve::lane_class::bulk;
     std::unique_ptr<data::trace_dataset> traces;
     /// Wire trace context (trace_id 0 = untraced) — carried through to the
-    /// completion path so the net.write span joins the same trace.
+    /// claim so the net.write span joins the same trace.
     std::uint64_t trace_id = 0;
     std::uint64_t trace_parent = 0;
   };
@@ -216,7 +215,6 @@ struct tcp_front_end::impl : reactor::owner {
 
   stopwatch clock;
   std::atomic<bool> draining{false};
-  std::atomic<bool> stopping{false};
   bool shut_down = false;  // shutdown() ran to completion (main thread only)
 
   // --- state_mutex_ domain -----------------------------------------------
@@ -225,15 +223,14 @@ struct tcp_front_end::impl : reactor::owner {
   std::unordered_map<std::uint64_t, std::unique_ptr<connection>> conns;
   std::unordered_map<std::uint64_t, inflight_ticket> tickets;
 
-  // --- completion_mutex_ domain ------------------------------------------
-  std::mutex completion_mutex;
-  std::condition_variable completion_ready;
-  std::deque<std::uint64_t> done_queue;
-
-  std::thread completion_thread;
+  // --- doorbell_mutex domain (a leaf: nothing is locked under it) --------
+  std::mutex doorbell_mutex;
+  std::vector<std::uint64_t> rung;  // tickets whose doorbell rang
 
   // --- poll thread only ---------------------------------------------------
   std::vector<std::uint64_t> pfd_conn_ids;  // collect() order
+  std::vector<std::uint64_t> held;     // rung, not yet claimed
+  std::vector<std::uint64_t> touched;  // connections a claim queued on
   std::vector<std::uint8_t> read_chunk = std::vector<std::uint8_t>(64 << 10);
 
   // --- metric cells (pre-resolved; recording is lock-free) ---------------
@@ -276,7 +273,6 @@ struct tcp_front_end::impl : reactor::owner {
     });
     server.set_on_complete(
         [this](serve::ticket t, serve::request_status) { doorbell(t.id); });
-    completion_thread = std::thread([this] { completion_loop(); });
     loop.start(*this, config.poll_interval_seconds);
   }
 
@@ -342,14 +338,14 @@ struct tcp_front_end::impl : reactor::owner {
     }
   }
 
-  // --- doorbell (runs on shard executors / submitting threads) -----------
+  // --- doorbell (runs on whatever thread finished the request) -----------
 
   void doorbell(std::uint64_t ticket_id) {
     {
-      const std::lock_guard lock(completion_mutex);
-      done_queue.push_back(ticket_id);
+      const std::lock_guard lock(doorbell_mutex);
+      rung.push_back(ticket_id);
     }
-    completion_ready.notify_one();
+    loop.wake();
   }
 
   // --- wire tracing -------------------------------------------------------
@@ -548,8 +544,8 @@ struct tcp_front_end::impl : reactor::owner {
         if (it == conn.requests.end()) return;  // finished or unknown: benign
         const std::uint64_t ticket_id = it->second;
         if (tickets.find(ticket_id) == tickets.end()) return;
-        // Still unresolved (completion consumes tickets under this mutex),
-        // so cancel() cannot see a consumed ticket. false = already done.
+        // Still in the map, so not yet claimed: cancel() cannot see a
+        // consumed ticket. false = already done.
         server.cancel(serve::ticket{ticket_id});
         return;
       }
@@ -652,10 +648,9 @@ struct tcp_front_end::impl : reactor::owner {
     }
     std::optional<serve::ticket> ticket;
     try {
-      // May execute the whole request inline (workerless pool) — the
-      // completion doorbell only touches the completion queue, and the
-      // completion thread re-locks state_mutex_ after popping, so it cannot
-      // observe the ticket before the registration below.
+      // May execute the whole request inline (workerless pool), doorbell
+      // included; the ticket is claimed in on_tick, after the registration
+      // below.
       ticket = server.try_submit(request);
     } catch (const std::exception& e) {
       // Semantically invalid (bad qubit, missing engine path): a protocol
@@ -794,9 +789,10 @@ struct tcp_front_end::impl : reactor::owner {
     });
   }
 
-  /// The reactor's deadline call: idle/stall evictions, then deferred
-  /// closes.
+  /// The reactor's per-round call: claims, idle/stall evictions, then
+  /// deferred closes.
   void on_tick() override {
+    claim_completions();
     const double now = clock.seconds();
     std::vector<std::uint64_t> to_evict;
     {
@@ -837,9 +833,9 @@ struct tcp_front_end::impl : reactor::owner {
   }
 
   /// Removes a connection and reconciles its in-flight tickets: every one
-  /// still unresolved is cancelled through the server (the completion thread
-  /// then claims and drops the result, counted). Never called with
-  /// state_mutex_ held.
+  /// still unresolved is cancelled through the server (a later round then
+  /// claims and drops the result, counted). Never called with state_mutex_
+  /// held.
   void close_connection(std::uint64_t conn_id, bool evicted) {
     std::unique_ptr<connection> conn;
     std::vector<std::uint64_t> to_cancel;
@@ -854,11 +850,9 @@ struct tcp_front_end::impl : reactor::owner {
           to_cancel.push_back(ticket_id);
         }
       }
-      // Cancel under the same lock that guards ticket consumption: entries
-      // still in `tickets` are provably unconsumed (the completion thread
-      // waits and erases under this mutex), so cancel() cannot throw for a
-      // consumed ticket; false (already done) is fine — the completion
-      // thread will drop the result on arrival.
+      // Entries still in `tickets` are unclaimed (claims erase them under
+      // this mutex), so cancel() cannot throw for a consumed ticket; false
+      // (already done) is fine — the claim drops the result.
       for (const std::uint64_t ticket_id : to_cancel) {
         server.cancel(serve::ticket{ticket_id});
       }
@@ -869,45 +863,53 @@ struct tcp_front_end::impl : reactor::owner {
     ::close(conn->fd);
   }
 
-  // --- completion thread --------------------------------------------------
+  // --- completions (poll thread) -----------------------------------------
 
-  void completion_loop() {
-    for (;;) {
-      std::uint64_t ticket_id = 0;
-      {
-        std::unique_lock lock(completion_mutex);
-        completion_ready.wait(lock, [this] {
-          return stopping.load(std::memory_order_relaxed) ||
-                 !done_queue.empty();
-        });
-        if (done_queue.empty()) return;  // stopping and drained
-        ticket_id = done_queue.front();
-        done_queue.pop_front();
-      }
-      try {
-        // delay mode stalls the response path while admission quotas fill —
-        // deterministic fodder for the shedding tests.
-        fault::trigger("net.complete");
-      } catch (const std::exception&) {
-        // A throwing completion site must not lose the ticket.
-      }
-      process_completion(ticket_id);
-      loop.wake();
+  /// Claims every ticket whose doorbell rang, then flushes each connection
+  /// that got a response at once; EAGAIN leaves the rest to POLLOUT.
+  void claim_completions() {
+    {
+      const std::lock_guard lock(doorbell_mutex);
+      held.insert(held.end(), rung.begin(), rung.end());
+      rung.clear();
     }
+    if (held.empty()) return;
+    // net.complete fires once per ticket, outside state_mutex_: drop holds
+    // the ticket for a later round (never once draining, which must resolve
+    // every ticket), throw is swallowed so the ticket is never lost, and
+    // delay stalls this thread.
+    const auto claim_from =
+        std::partition(held.begin(), held.end(), [this](std::uint64_t) {
+          try {
+            return fault::trigger("net.complete") == fault::action::drop &&
+                   !draining.load(std::memory_order_relaxed);
+          } catch (const std::exception&) {
+            return false;
+          }
+        });
+    touched.clear();
+    {
+      const std::lock_guard lock(state_mutex);
+      for (auto it = claim_from; it != held.end(); ++it) claim_locked(*it);
+    }
+    held.erase(claim_from, held.end());
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    for (const std::uint64_t conn_id : touched) handle_writable(conn_id);
   }
 
-  void process_completion(std::uint64_t ticket_id) {
-    const std::lock_guard lock(state_mutex);
+  /// Consumes one rung ticket with wait() and queues its response on the
+  /// owning connection, or drops it, counted, when the client is gone.
+  void claim_locked(std::uint64_t ticket_id) {
     const auto it = tickets.find(ticket_id);
     if (it == tickets.end()) return;  // foreign ticket: not ours to consume
     inflight_ticket entry = std::move(it->second);
     tickets.erase(it);
     serve::readout_result result;
     try {
-      // The doorbell fired, so the ticket is done: wait() returns as soon
+      // The doorbell rang, so the ticket is done: wait() returns as soon
       // as that doorbell call has returned. Consuming under state_mutex_ is
-      // what makes the disconnect path's cancel() race-free (see
-      // close_connection).
+      // what keeps shutdown()'s force-cancel off consumed tickets.
       server.wait(serve::ticket{ticket_id}, result);
     } catch (const std::exception&) {
       // A failed request rethrows its shard error; the client gets the
@@ -927,6 +929,7 @@ struct tcp_front_end::impl : reactor::owner {
       return;
     }
     connection& conn = *conn_it->second;
+    touched.push_back(conn.id);
     --conn.inflight;
     conn.inflight_bytes -= entry.payload_bytes;
     const auto req_it = conn.requests.find(entry.request_id);
@@ -999,13 +1002,9 @@ struct tcp_front_end::impl : reactor::owner {
       if (flushed || clock.seconds() >= flush_deadline) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    // Phase 3: stop the threads (the completion thread exits when its
-    // queue is empty), then close every remaining socket — tickets were
-    // reconciled above.
+    // Phase 3: stop the poll thread, then close every remaining socket —
+    // tickets were reconciled above.
     loop.stop();
-    stopping.store(true, std::memory_order_relaxed);
-    completion_ready.notify_all();
-    completion_thread.join();
     for (const connection_info& info : connection_table()) {
       close_connection(info.id, /*evicted=*/false);
     }

@@ -163,7 +163,7 @@ using shard_callback = std::function<void(const shard_event&)>;
 /// shard executor, or the submitting thread for zero-shot / inline-executed
 /// requests — with no server lock held. The result is *not* passed: the
 /// callback is a doorbell for an event-driven consumer (the TCP front end's
-/// completion thread), which claims the result with wait()/poll() at its
+/// poll thread), which claims the result with wait()/poll() at its
 /// leisure. The ticket becomes claimable when the callback returns — poll()
 /// turns true and wait() unblocks only after the doorbell has rung — so a
 /// consumer claims it from another thread, never from inside the callback.

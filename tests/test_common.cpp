@@ -1,5 +1,6 @@
 // Tests for klinq_common: RNG, thread pool, math helpers, CLI parsing.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -145,6 +146,26 @@ TEST(ThreadPool, SingleWorkerStillRuns) {
     for (std::size_t i = b; i < e; ++i) sum += static_cast<int>(i);
   });
   EXPECT_EQ(sum, 45);
+}
+
+TEST(ThreadPool, DefaultSizeFollowsAffinity) {
+  // thread_pool(0) counts the CPUs the calling thread may run on, not the
+  // hardware: pinned to one CPU it spawns no workers, the caller being the
+  // one participant.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  const std::size_t allowed = static_cast<std::size_t>(CPU_COUNT(&saved));
+  EXPECT_EQ(thread_pool(0).worker_count(), allowed - 1);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned_workers = thread_pool(0).worker_count();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned_workers, 0u);
 }
 
 TEST(ThreadPool, NestedParallelForCoversEveryIndexExactlyOnce) {

@@ -818,17 +818,19 @@ TEST(NetReconcile, DisconnectMidRequestDropsTheResultCounted) {
   serve::readout_server server(f.engines());
   net::tcp_front_end front(server);
   fault::disarm_all();
-  // Stall the completion path so the request is still unanswered when the
-  // client vanishes.
-  fault::arm_from_string("net.complete:delay_ms=400:1.0:3");
+  // Hold the finished ticket unclaimed so the request is still unanswered
+  // when the client vanishes; a delay would stall the poll thread, the very
+  // thread that has to see the disconnect. Disarm once the close is seen.
+  fault::arm_from_string("net.complete:drop:1.0:3");
   {
     net::client cli("127.0.0.1", front.port());
     cli.send_request(fixed_request(), f.small_block(8));
     // Give the poll loop time to parse and admit before disconnecting.
     ASSERT_TRUE(wait_until([&] { return front.stats().requests_admitted == 1; }));
   }  // client destructor closes the socket mid-request
-  ASSERT_TRUE(wait_until([&] { return front.stats().results_dropped == 1; }));
+  ASSERT_TRUE(wait_until([&] { return front.stats().open_connections == 0; }));
   fault::disarm_all();
+  ASSERT_TRUE(wait_until([&] { return front.stats().results_dropped == 1; }));
   const net::front_end_stats stats = front.stats();
   stats.validate();
   EXPECT_EQ(stats.responses_sent, 0u);
@@ -901,6 +903,45 @@ TEST(NetFault, DecodeFaultAnswersTypedErrorAndCloses) {
   fault::disarm_all();
   EXPECT_EQ(front.stats().requests_admitted, 0u);
   front.stats().validate();
+}
+
+TEST(NetFault, CompleteFaultNeverLosesTheTicket) {
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  net::tcp_front_end front(server);
+  const data::trace_dataset block = f.small_block(4);
+  net::client cli("127.0.0.1", front.port());
+  fault::disarm_all();
+
+  // throw is swallowed: the claim goes ahead and the answer is bit-exact.
+  fault::arm_from_string("net.complete:throw:1.0:15");
+  const std::uint64_t thrown = cli.send_request(fixed_request(), block);
+  const auto answered = cli.read_reply(thrown);
+  EXPECT_GE(fault::fired("net.complete"), 1u);
+  fault::disarm_all();
+  ASSERT_TRUE(answered.has_value());
+  ASSERT_EQ(answered->header.type, net::frame_type::response);
+  expect_fixed_response(net::decode_response(answered->payload), block);
+  front.stats().validate();
+
+  // drop holds the finished ticket: no answer while armed, the answer once
+  // disarmed, and the accounting reconciles throughout.
+  fault::arm_from_string("net.complete:drop:1.0:16");
+  const std::uint64_t held = cli.send_request(fixed_request(), block);
+  EXPECT_FALSE(cli.read_reply(held, 0.3).has_value());
+  const net::front_end_stats holding = front.stats();
+  holding.validate();
+  EXPECT_EQ(holding.inflight, 1u);
+  fault::disarm_all();
+  const auto released = cli.read_reply(held);
+  ASSERT_TRUE(released.has_value());
+  ASSERT_EQ(released->header.type, net::frame_type::response);
+  expect_fixed_response(net::decode_response(released->payload), block);
+  ASSERT_TRUE(wait_until([&] { return front.stats().inflight == 0; }));
+  const net::front_end_stats stats = front.stats();
+  stats.validate();
+  EXPECT_EQ(stats.responses_sent, 2u);
+  EXPECT_EQ(stats.results_dropped, 0u);
 }
 
 // --- graceful shutdown ------------------------------------------------------

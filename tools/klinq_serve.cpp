@@ -45,6 +45,7 @@
 // non-zero unless ticket accounting reconciles exactly (front_end_stats and
 // server_stats validate, zero inflight, every admitted request answered or
 // dropped-with-counter) and the healthy client was served throughout.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -449,10 +450,12 @@ int run_listen_chaos(serve::readout_server& server,
   }
 
   {
-    // Disconnect mid-request: a delayed completion finds the client gone;
-    // the result must be dropped with a counter, never leaked.
+    // Disconnect mid-request: the finished ticket is held unclaimed until
+    // the close is seen (a delay would stall the poll thread that has to
+    // see it), then the claim finds the client gone; the result must be
+    // dropped with a counter, never leaked.
     const net::front_end_stats before = front_end.stats();
-    fault::arm_from_string("net.complete:delay_ms=300:1.0:1");
+    fault::arm_from_string("net.complete:drop:1.0:1");
     net::client vanisher("127.0.0.1", bound);
     vanisher.send_request(make_request_info(0, engine, block), block);
     const bool admitted = wait_for(
@@ -461,14 +464,28 @@ int run_listen_chaos(serve::readout_server& server,
                  before.requests_admitted;
         },
         3.0);
+    // Its connection is the newest one (ids increase with each accept).
+    std::uint64_t vanisher_id = 0;
+    for (const net::connection_info& info : front_end.connections()) {
+      vanisher_id = std::max(vanisher_id, info.id);
+    }
     vanisher.close();
+    const bool closed = wait_for(
+        [&] {
+          const std::vector<net::connection_info> live =
+              front_end.connections();
+          return std::none_of(live.begin(), live.end(), [&](const auto& c) {
+            return c.id == vanisher_id;
+          });
+        },
+        3.0);
+    fault::disarm_all();
     const bool dropped = wait_for(
         [&] {
           return front_end.stats().results_dropped > before.results_dropped;
         },
         3.0);
-    fault::disarm_all();
-    sc.check(admitted && dropped,
+    sc.check(admitted && closed && dropped,
              "disconnect mid-request drops the result, counted");
   }
 
