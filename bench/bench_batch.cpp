@@ -10,6 +10,7 @@
 //   bench_batch --benchmark_out=BENCH_batch.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -207,18 +208,72 @@ BENCHMARK(BM_FcPlaneStudentLayer<nn::kernels::avx2::fc_plane>)
 BENCHMARK(BM_FcPlaneStudentLayer<nn::kernels::avx512::fc_plane>)
     ->Name("BM_FcPlane_avx512_studentL1")->Arg(64)->UseRealTime();
 
+/// extract_tile per dispatch tier: the float front end (AVG ∥ MF → NORM)
+/// over N = 500 complex samples with `groups` AVG groups per quadrature
+/// (15: FNN-A, 33/34-sample groups; 100: FNN-B, 5-sample groups that live
+/// entirely in the shot-per-lane tail path) into a feature plane. Mirrors
+/// the fixed BM_FrontendTile rows in bench_fixed_kernels, so items/s compare
+/// across datapaths.
+template <auto ExtractTile>
+void BM_ExtractTileFloat(benchmark::State& state) {
+  constexpr std::size_t n = 500;
+  const auto groups = static_cast<std::size_t>(state.range(0));
+  const auto lanes = static_cast<std::size_t>(state.range(1));
+  const std::size_t width = 2 * groups + 1;
+  xoshiro256 rng(7);
+  std::vector<std::vector<float>> traces(lanes, std::vector<float>(2 * n));
+  std::vector<const float*> pointers;
+  for (auto& trace : traces) {
+    for (auto& v : trace) v = static_cast<float>(rng.uniform(-2.0, 2.0));
+    pointers.push_back(trace.data());
+  }
+  std::vector<float> envelope(2 * n);
+  for (auto& v : envelope) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  std::vector<float> offset(width);
+  std::vector<float> scale(width);
+  for (std::size_t c = 0; c < width; ++c) {
+    offset[c] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    scale[c] = std::ldexp(1.0f, static_cast<int>(c % 7) - 4);
+  }
+  const nn::kernels::extract_spec spec{.groups = groups,
+                                       .envelope = envelope.data(),
+                                       .offset = offset.data(),
+                                       .scale = scale.data()};
+  constexpr std::size_t stride = nn::kernels::max_tile_lanes;
+  std::vector<float> plane(width * stride);
+  for (auto _ : state) {
+    ExtractTile(pointers.data(), lanes, n, spec, plane.data(), stride);
+    benchmark::DoNotOptimize(plane.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(lanes * 2 * n));
+}
+BENCHMARK(BM_ExtractTileFloat<nn::kernels::scalar::extract_tile>)
+    ->Name("BM_ExtractTileFloat_scalar")
+    ->ArgNames({"groups", "lanes"})
+    ->ArgsProduct({{15, 100}, {1, 8, 64}});
+BENCHMARK(BM_ExtractTileFloat<nn::kernels::avx2::extract_tile>)
+    ->Name("BM_ExtractTileFloat_avx2")
+    ->ArgNames({"groups", "lanes"})
+    ->ArgsProduct({{15, 100}, {1, 8, 64}});
+BENCHMARK(BM_ExtractTileFloat<nn::kernels::avx512::extract_tile>)
+    ->Name("BM_ExtractTileFloat_avx512")
+    ->ArgNames({"groups", "lanes"})
+    ->ArgsProduct({{15, 100}, {1, 8, 64}});
+
 }  // namespace
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   klinq::bench::add_klinq_context();
-  // Wide-tier fc_plane rows must not run on hosts lacking the tier (and on
-  // non-SIMD builds they alias scalar); skip instead of faulting or
-  // reporting duplicate numbers.
+  // Wide-tier fc_plane / extract_tile rows must not run on hosts lacking
+  // the tier (and on non-SIMD builds they alias scalar); skip instead of
+  // faulting or reporting duplicate numbers.
   std::string filter;
-  if (!klinq::nn::kernels::avx2_available()) filter += "BM_.*_avx2_.*|";
-  if (!klinq::nn::kernels::avx512_available()) filter += "BM_.*_avx512_.*|";
+  if (!klinq::nn::kernels::avx2_available()) filter += "BM_.*_avx2[_/].*|";
+  if (!klinq::nn::kernels::avx512_available()) filter += "BM_.*_avx512[_/].*|";
   if (!filter.empty()) {
     filter.pop_back();  // trailing '|'
     benchmark::RunSpecifiedBenchmarks(("-" + filter).c_str());

@@ -79,19 +79,27 @@ void BM_MatchedFilterApply(benchmark::State& state) {
 }
 BENCHMARK(BM_MatchedFilterApply);
 
+/// One trace through feature_pipeline::extract (the single-shot kernel,
+/// grouped_mean_dot) with `groups` AVG groups per quadrature: 15 is the
+/// FNN-A front end, 100 the FNN-B one whose 5-sample groups never fill a
+/// vector. The G = 100 pipeline is refitted on the fixture's training set.
 void BM_FrontendExtractFloat(benchmark::State& state) {
   auto& f = shared_fixture();
-  std::vector<float> features(f.student.pipeline().output_width());
+  dsp::feature_pipeline_config config = f.student.pipeline().config();
+  config.groups_per_quadrature = static_cast<std::size_t>(state.range(0));
+  const dsp::feature_pipeline pipeline =
+      dsp::feature_pipeline::fit(f.data.train, config);
+  std::vector<float> features(pipeline.output_width());
   std::size_t row = 0;
   const std::size_t n = f.data.test.samples_per_quadrature();
   for (auto _ : state) {
-    f.student.pipeline().extract(f.data.test.trace(row), n, features);
+    pipeline.extract(f.data.test.trace(row), n, features);
     benchmark::DoNotOptimize(features.data());
     row = (row + 1) % f.data.test.size();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FrontendExtractFloat);
+BENCHMARK(BM_FrontendExtractFloat)->ArgName("groups")->Arg(15)->Arg(100);
 
 void BM_StudentInferenceFloat(benchmark::State& state) {
   auto& f = shared_fixture();

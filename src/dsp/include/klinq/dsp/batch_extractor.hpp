@@ -5,7 +5,9 @@
 // feature matrix, parallelized over the global thread pool. Each trace's
 // features are written directly into its output row, so steady-state
 // extraction performs no per-shot heap allocation; repeated extract() calls
-// into the same matrix reuse its storage.
+// into the same matrix reuse its storage. extract_tile() is the fused
+// datapath's producer instead: one nn::kernels::extract_tile pass per shot
+// tile, written feature-major straight into the first-layer panel.
 #pragma once
 
 #include <cstddef>
@@ -43,8 +45,10 @@ class batch_extractor {
   /// plane kernels (klinq/nn/kernels.hpp) consume as the first-layer GEMM
   /// panel, so no full feature matrix is ever materialized. Pad lanes
   /// [lanes, nn::kernels::padded_lanes(lanes)) are zero-filled; requires
-  /// padded_lanes(lanes) <= stride. Per-shot feature values are identical to
-  /// extract()/extract_block — only the layout differs.
+  /// padded_lanes(lanes) <= stride. One nn::kernels::extract_tile pass per
+  /// max_tile_lanes chunk keeps a tile of shots in flight; per-shot feature
+  /// values are bitwise identical to extract()/extract_block within a SIMD
+  /// tier — only the layout differs.
   void extract_tile(const data::trace_dataset& dataset, std::size_t row_begin,
                     std::size_t lanes, float* plane, std::size_t stride) const;
 

@@ -18,6 +18,7 @@
 #include "klinq/dsp/averager.hpp"
 #include "klinq/dsp/matched_filter.hpp"
 #include "klinq/dsp/normalization.hpp"
+#include "klinq/nn/kernels.hpp"
 
 namespace klinq::dsp {
 
@@ -53,6 +54,13 @@ class feature_pipeline {
   void extract(std::span<const float> trace,
                std::size_t samples_per_quadrature,
                std::span<float> out) const;
+
+  /// The fitted front end as nn::kernels::extract_tile reads it: group
+  /// count, MF envelope (null when the MF feature is off) and the NORM
+  /// offsets and factors, all computed at fit()/load(). The pointers borrow
+  /// this pipeline's storage, so the spec is a view — take it per call
+  /// rather than keeping it past a copy or move of the pipeline.
+  nn::kernels::extract_spec tile_spec() const noexcept;
 
   /// Extracts features for every row of a dataset → (n × output_width).
   /// Runs through batch_extractor (thread-pool-parallel over trace blocks).

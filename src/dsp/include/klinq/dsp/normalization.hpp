@@ -53,6 +53,12 @@ class feature_normalizer {
     return std::span<const int>(shift_exponent_);
   }
 
+  /// The 2^-k multipliers apply() uses in pow2_shift mode (derived from
+  /// the exponents at fit()/load()).
+  std::span<const float> pow2_scale() const noexcept {
+    return std::span<const float>(pow2_scale_);
+  }
+
   /// Effective divisor actually applied (2^k in pow2 mode, σ in exact mode).
   float effective_sigma(std::size_t feature) const;
 

@@ -1,8 +1,6 @@
 #include "klinq/dsp/batch_extractor.hpp"
 
 #include <algorithm>
-#include <span>
-#include <vector>
 
 #include "klinq/common/error.hpp"
 #include "klinq/common/thread_pool.hpp"
@@ -81,23 +79,16 @@ void batch_extractor::extract_tile(const float* const* traces,
                                    std::size_t samples_per_quadrature,
                                    float* plane, std::size_t stride) const {
   KLINQ_REQUIRE(pipeline_ != nullptr, "batch_extractor: default-constructed");
-  const std::size_t padded = nn::kernels::padded_lanes(lanes);
-  KLINQ_REQUIRE(padded <= stride,
+  KLINQ_REQUIRE(nn::kernels::padded_lanes(lanes) <= stride,
                 "batch_extractor: stride too small for padded lanes");
-  const std::size_t width = pipeline_->output_width();
+  const nn::kernels::extract_spec spec = pipeline_->tile_spec();
   const std::size_t n = samples_per_quadrature;
-  // One contiguous feature row per shot, scattered into the plane lanes:
-  // the scatter is width stores against the ~2N-sample extraction, and the
-  // per-shot values are exactly those of extract_block.
-  thread_local std::vector<float> row;
-  row.resize(width);
-  for (std::size_t s = 0; s < lanes; ++s) {
-    pipeline_->extract(std::span<const float>(traces[s], 2 * n), n, row);
-    for (std::size_t i = 0; i < width; ++i) plane[i * stride + s] = row[i];
-  }
-  for (std::size_t s = lanes; s < padded; ++s) {
-    for (std::size_t i = 0; i < width; ++i) plane[i * stride + s] = 0.0f;
-  }
+  KLINQ_REQUIRE(n >= spec.groups,
+                "batch_extractor: fewer samples than groups");
+  KLINQ_REQUIRE(spec.envelope == nullptr ||
+                    pipeline_->filter().input_width() == 2 * n,
+                "batch_extractor: matched-filter width mismatch");
+  nn::kernels::extract_tile(traces, lanes, n, spec, plane, stride);
 }
 
 }  // namespace klinq::dsp

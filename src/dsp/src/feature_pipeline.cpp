@@ -69,6 +69,18 @@ void feature_pipeline::extract(std::span<const float> trace,
   normalizer_.apply(out);
 }
 
+nn::kernels::extract_spec feature_pipeline::tile_spec() const noexcept {
+  const bool pow2 = normalizer_.mode() == norm_mode::pow2_shift;
+  return {.groups = averager_.groups_per_quadrature(),
+          .envelope = config_.use_matched_filter ? filter_.envelope().data()
+                                                 : nullptr,
+          .offset = normalizer_.x_min().data(),
+          .scale = pow2 ? normalizer_.pow2_scale().data()
+                        : normalizer_.sigma().data(),
+          .op = pow2 ? nn::kernels::norm_op::multiply
+                     : nn::kernels::norm_op::divide};
+}
+
 la::matrix_f feature_pipeline::extract_all(
     const data::trace_dataset& dataset) const {
   la::matrix_f features;

@@ -22,6 +22,7 @@
 //            pairs with an 8-lane remainder group, so every lane still sees
 //            the identical ascending FMA chain — avx512 fc_plane output is
 //            bitwise equal to avx2's; only the reduction kernels (dot, sum,
+//            grouped_mean_dot, and extract_tile, which follows
 //            grouped_mean_dot) differ from avx2 in last ULPs.
 //
 // Unlike the fixed-point kernels, the float tiers are NOT bit-identical to
@@ -40,9 +41,13 @@
 // size and worker count WITHIN a tier — the fused and unfused batched float
 // paths are therefore bitwise equal, and only comparisons against
 // network::predict_logit (dot order) and across tiers need tolerances.
+// extract_tile, the front end of that tile, holds the same invariance: each
+// shot's features are bitwise those of the single-shot grouped_mean_dot
+// extraction on the same tier, whatever the tile width or lane position.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "klinq/common/cpu_dispatch.hpp"
@@ -66,6 +71,34 @@ constexpr std::size_t padded_lanes(std::size_t lanes) noexcept {
   return (lanes + lane_group - 1) / lane_group * lane_group;
 }
 
+/// How extract_tile's NORM stage scales an offset feature.
+enum class norm_op : std::uint8_t {
+  multiply,  ///< (x − offset) · scale — the power-of-two σ as 2^-k
+  divide,    ///< (x − offset) / scale — the exact or z-score σ
+};
+
+/// The fitted float front end (AVG ∥ MF → NORM) as extract_tile reads it.
+/// dsp::feature_pipeline::tile_spec() assembles it from the matched filter
+/// and normalizer it fits or loads; the pointers borrow that storage. The
+/// width() features are the G AVG means of I, the G AVG means of Q, then the
+/// MF output when `envelope` is set.
+struct extract_spec {
+  /// G averaging groups per quadrature; group g covers samples
+  /// [floor(g·N/G), floor((g+1)·N/G)) of each quadrature.
+  std::size_t groups = 0;
+  /// 2N matched-filter taps over [I | Q], or null (no MF feature).
+  const float* envelope = nullptr;
+  /// width() NORM offsets (x_min, or the mean in z-score mode).
+  const float* offset = nullptr;
+  /// width() NORM factors: 2^-k multipliers or σ divisors, per `op`.
+  const float* scale = nullptr;
+  norm_op op = norm_op::multiply;
+
+  std::size_t width() const noexcept {
+    return 2 * groups + (envelope != nullptr ? 1 : 0);
+  }
+};
+
 // ---------------------------------------------------------------------------
 // Kernel contract (identical across tiers):
 //
@@ -88,6 +121,30 @@ constexpr std::size_t padded_lanes(std::size_t lanes) noexcept {
 //             finite (the packers zero-fill them). Accumulation over i is
 //             strictly ascending per (o, s), so a lane's value never
 //             depends on its position in the tile.
+//
+//   extract_tile
+//             the float front end over a shot tile: lane s reads the
+//             flattened [I | Q] trace traces[s] (2N floats) and gets its
+//             width() NORMed features at plane[c * stride + s]. Lanes
+//             [lanes, padded_lanes(lanes)) are written as +0.0f; lanes from
+//             padded_lanes(lanes) up to `stride` are neither read nor
+//             written. Requires 1 <= groups <= N, padded_lanes(lanes) <=
+//             stride, and a 2N-tap envelope when it is set. Any lane count
+//             works; tiles of max_tile_lanes are what it is tuned for.
+//             Per shot the result is BITWISE equal, within a tier, to that
+//             tier's grouped_mean_dot over each quadrature (MF partials
+//             summed as 0 + I + Q) followed by the NORM op per feature —
+//             i.e. to dsp::feature_pipeline::extract on the same tier. The
+//             SIMD tiers keep each shot's operation sequence and only
+//             interleave shots: a group's vector body runs per shot as in
+//             grouped_mean_dot, its tail samples (every sample of a group
+//             shorter than one vector) run shot-per-lane — 16 shots per
+//             zmm, 8 per ymm, loaded through in-register transposes — and
+//             the per-group horizontal reductions run transposed over the
+//             shots in grouped_mean_dot's pairing order. A lane block with
+//             too few live shots for its shape to pay for that runs shot by
+//             shot through the tier's grouped_mean_dot instead. The scalar
+//             tier runs grouped_mean_dot's scalar body shot by shot.
 // ---------------------------------------------------------------------------
 
 /// Plain-float scalar tier — every host runs this; bit-compatible with the
@@ -105,6 +162,10 @@ float grouped_mean_dot(const float* values, const float* weights,
 void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
               std::size_t in_dim, const float* in_plane, std::size_t lanes,
               std::size_t stride, bool relu, float* out_plane) noexcept;
+
+void extract_tile(const float* const* traces, std::size_t lanes,
+                  std::size_t samples_per_quadrature, const extract_spec& spec,
+                  float* plane, std::size_t stride) noexcept;
 
 }  // namespace scalar
 
@@ -127,6 +188,10 @@ void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
               std::size_t in_dim, const float* in_plane, std::size_t lanes,
               std::size_t stride, bool relu, float* out_plane) noexcept;
 
+void extract_tile(const float* const* traces, std::size_t lanes,
+                  std::size_t samples_per_quadrature, const extract_spec& spec,
+                  float* plane, std::size_t stride) noexcept;
+
 }  // namespace avx2
 
 /// AVX-512 FMA tier (16 x float lanes). Same linkage contract as avx2::
@@ -145,6 +210,10 @@ float grouped_mean_dot(const float* values, const float* weights,
 void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
               std::size_t in_dim, const float* in_plane, std::size_t lanes,
               std::size_t stride, bool relu, float* out_plane) noexcept;
+
+void extract_tile(const float* const* traces, std::size_t lanes,
+                  std::size_t samples_per_quadrature, const extract_spec& spec,
+                  float* plane, std::size_t stride) noexcept;
 
 }  // namespace avx512
 
@@ -179,6 +248,14 @@ float grouped_mean_dot(const float* values, const float* weights,
 void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
               std::size_t in_dim, const float* in_plane, std::size_t lanes,
               std::size_t stride, bool relu, float* out_plane) noexcept;
+
+/// The float front end over a tile of `lanes` traces, straight into the
+/// feature-major plane (see the contract above): the tile producer of the
+/// fused float datapath. grouped_mean_dot stays the single-shot kernel and
+/// is the oracle each shot of the tile matches bitwise within a tier.
+void extract_tile(const float* const* traces, std::size_t lanes,
+                  std::size_t samples_per_quadrature, const extract_spec& spec,
+                  float* plane, std::size_t stride) noexcept;
 
 // --- packing helpers (tier-independent data movement) -----------------------
 

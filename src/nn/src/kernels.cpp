@@ -13,6 +13,41 @@
 
 namespace klinq::nn::kernels {
 
+namespace {
+
+/// One shot of extract_tile through a tier's single-shot kernel: its
+/// grouped_mean_dot per quadrature (means written `stride` apart, straight
+/// into plane lane `out`), the MF partials summed as 0 + I + Q, then the
+/// NORM op per feature in place — feature_pipeline::extract's sequence.
+template <auto GroupedMeanDot>
+void extract_shot(const float* trace, std::size_t n, const extract_spec& spec,
+                  float* out, std::size_t stride) noexcept {
+  const std::size_t groups = spec.groups;
+  float mf = 0.0f;
+  for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
+    const std::size_t base = quadrature * n;
+    mf += GroupedMeanDot(
+        trace + base, spec.envelope != nullptr ? spec.envelope + base : nullptr,
+        n, groups, out + quadrature * groups * stride, stride);
+  }
+  if (spec.envelope != nullptr) out[2 * groups * stride] = mf;
+  for (std::size_t c = 0; c < spec.width(); ++c) {
+    const float centred = out[c * stride] - spec.offset[c];
+    out[c * stride] = spec.op == norm_op::multiply ? centred * spec.scale[c]
+                                                   : centred / spec.scale[c];
+  }
+}
+
+/// Writes +0 to lanes [from, to) of `width` feature rows.
+void zero_lanes(std::size_t width, std::size_t from, std::size_t to,
+                float* plane, std::size_t stride) noexcept {
+  for (std::size_t c = 0; c < width; ++c) {
+    for (std::size_t s = from; s < to; ++s) plane[c * stride + s] = 0.0f;
+  }
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // scalar tier
 // ---------------------------------------------------------------------------
@@ -56,9 +91,15 @@ float sum(const float* values, std::size_t n) noexcept {
   return acc;
 }
 
-float grouped_mean_dot(const float* values, const float* weights,
-                       std::size_t n, std::size_t groups,
-                       float* out_means) noexcept {
+namespace {
+
+/// grouped_mean_dot's body with the means written `out_stride` apart, so
+/// extract_tile runs the identical operation sequence straight into a plane
+/// lane.
+float grouped_mean_dot_strided(const float* values, const float* weights,
+                               std::size_t n, std::size_t groups,
+                               float* out_means,
+                               std::size_t out_stride) noexcept {
   // One pass serves both features. The group sums reduce per group (their
   // boundaries demand it), but the matched-filter accumulators persist
   // across groups — lanes for the vectorizable body, one scalar chain for
@@ -106,7 +147,7 @@ float grouped_mean_dot(const float* values, const float* weights,
         acc += p[s];
         dot_tail += p[s] * w[s];
       }
-      out_means[g] = acc / static_cast<float>(len);
+      out_means[g * out_stride] = acc / static_cast<float>(len);
     } else {
       for (; s + 4 <= len; s += 4) {
         sum0 += p[s];
@@ -116,10 +157,18 @@ float grouped_mean_dot(const float* values, const float* weights,
       }
       float acc = (sum0 + sum1) + (sum2 + sum3);
       for (; s < len; ++s) acc += p[s];
-      out_means[g] = acc / static_cast<float>(len);
+      out_means[g * out_stride] = acc / static_cast<float>(len);
     }
   }
   return (dot0 + dot1) + (dot2 + dot3) + dot_tail;
+}
+
+}  // namespace
+
+float grouped_mean_dot(const float* values, const float* weights,
+                       std::size_t n, std::size_t groups,
+                       float* out_means) noexcept {
+  return grouped_mean_dot_strided(values, weights, n, groups, out_means, 1);
 }
 
 void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
@@ -148,6 +197,17 @@ void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
       }
     }
   }
+}
+
+void extract_tile(const float* const* traces, std::size_t lanes,
+                  std::size_t samples_per_quadrature, const extract_spec& spec,
+                  float* plane, std::size_t stride) noexcept {
+  // Shot by shot through grouped_mean_dot's own body.
+  for (std::size_t s = 0; s < lanes; ++s) {
+    extract_shot<grouped_mean_dot_strided>(traces[s], samples_per_quadrature,
+                                           spec, plane + s, stride);
+  }
+  zero_lanes(spec.width(), lanes, padded_lanes(lanes), plane, stride);
 }
 
 }  // namespace scalar
@@ -247,15 +307,17 @@ struct mean_dot_state {
   float dot_tail;
 };
 
-/// Accumulates one group's vector sum into *acc and its tail samples into
-/// *tail; the matched-filter accumulators in *state ride along when
-/// weights are present. `p`/`w` point at the group's first sample.
-__attribute__((target("avx2,fma"))) inline void accumulate_group(
-    const float* p, const float* w, std::size_t len, mean_dot_state* state,
-    __m256* acc, float* tail) noexcept {
+/// One group's vector body: samples [0, len & ~7) in 16- then 8-sample
+/// chunks, summed into the returned 8-lane group accumulator, with the
+/// matched-filter FMA lanes *dot_acc0 / *dot_acc1 riding along when weights
+/// are present. `p`/`w` point at the group's first sample. The tail samples
+/// are left to the caller — per shot in grouped_mean_dot, shot-per-lane in
+/// extract_tile.
+__attribute__((target("avx2,fma"))) inline __m256 accumulate_body(
+    const float* p, const float* w, std::size_t len, __m256* dot_acc0,
+    __m256* dot_acc1) noexcept {
   __m256 sum0 = _mm256_setzero_ps();
   __m256 sum1 = _mm256_setzero_ps();
-  float t = 0.0f;
   std::size_t s = 0;
   if (w != nullptr) {
     for (; s + 16 <= len; s += 16) {
@@ -263,20 +325,13 @@ __attribute__((target("avx2,fma"))) inline void accumulate_group(
       const __m256 v1 = _mm256_loadu_ps(p + s + 8);
       sum0 = _mm256_add_ps(sum0, v0);
       sum1 = _mm256_add_ps(sum1, v1);
-      state->dot_acc0 =
-          _mm256_fmadd_ps(v0, _mm256_loadu_ps(w + s), state->dot_acc0);
-      state->dot_acc1 =
-          _mm256_fmadd_ps(v1, _mm256_loadu_ps(w + s + 8), state->dot_acc1);
+      *dot_acc0 = _mm256_fmadd_ps(v0, _mm256_loadu_ps(w + s), *dot_acc0);
+      *dot_acc1 = _mm256_fmadd_ps(v1, _mm256_loadu_ps(w + s + 8), *dot_acc1);
     }
     for (; s + 8 <= len; s += 8) {
       const __m256 v = _mm256_loadu_ps(p + s);
       sum0 = _mm256_add_ps(sum0, v);
-      state->dot_acc0 =
-          _mm256_fmadd_ps(v, _mm256_loadu_ps(w + s), state->dot_acc0);
-    }
-    for (; s < len; ++s) {
-      t += p[s];
-      state->dot_tail = std::fmaf(p[s], w[s], state->dot_tail);
+      *dot_acc0 = _mm256_fmadd_ps(v, _mm256_loadu_ps(w + s), *dot_acc0);
     }
   } else {
     for (; s + 16 <= len; s += 16) {
@@ -286,22 +341,42 @@ __attribute__((target("avx2,fma"))) inline void accumulate_group(
     for (; s + 8 <= len; s += 8) {
       sum0 = _mm256_add_ps(sum0, _mm256_loadu_ps(p + s));
     }
+  }
+  return _mm256_add_ps(sum0, sum1);
+}
+
+/// Accumulates one group's vector sum into *acc and its tail samples into
+/// *tail; the matched-filter accumulators in *state ride along when
+/// weights are present. `p`/`w` point at the group's first sample.
+__attribute__((target("avx2,fma"))) inline void accumulate_group(
+    const float* p, const float* w, std::size_t len, mean_dot_state* state,
+    __m256* acc, float* tail) noexcept {
+  *acc = accumulate_body(p, w, len, &state->dot_acc0, &state->dot_acc1);
+  float t = 0.0f;
+  std::size_t s = len & ~std::size_t{7};
+  if (w != nullptr) {
+    for (; s < len; ++s) {
+      t += p[s];
+      state->dot_tail = std::fmaf(p[s], w[s], state->dot_tail);
+    }
+  } else {
     for (; s < len; ++s) t += p[s];
   }
-  *acc = _mm256_add_ps(sum0, sum1);
   *tail = t;
 }
 
 __attribute__((target("avx2,fma"))) float grouped_mean_dot_avx2(
     const float* values, const float* weights, std::size_t n,
-    std::size_t groups, float* out_means) noexcept {
+    std::size_t groups, float* out_means, std::size_t out_stride) noexcept {
   // 8-lane fused pass. Per group one vector loop feeds both the group-sum
   // accumulator (reduced per group — the boundaries demand it) and the
   // matched-filter FMA accumulators, which persist across groups and reduce
   // once at the end; per-group tail samples feed scalar chains. Groups are
   // processed four at a time so their horizontal reductions share one hadd
   // tree and one vector divide, and group boundaries advance by Bresenham
-  // carry (floor(g·n/groups) without per-group integer division).
+  // carry (floor(g·n/groups) without per-group integer division). Means
+  // land `out_stride` apart (1 for the single shot, the plane stride for a
+  // lane of extract_tile).
   mean_dot_state state{_mm256_setzero_ps(), _mm256_setzero_ps(), 0.0f};
   const std::size_t quotient = n / groups;
   const std::size_t remainder = n % groups;
@@ -333,7 +408,11 @@ __attribute__((target("avx2,fma"))) float grouped_mean_dot_avx2(
     const __m128 sums =
         _mm_add_ps(reduce_four(acc[0], acc[1], acc[2], acc[3]),
                    _mm_load_ps(tails));
-    _mm_storeu_ps(out_means + g, _mm_div_ps(sums, _mm_load_ps(lens)));
+    alignas(16) float means[4];
+    _mm_store_ps(means, _mm_div_ps(sums, _mm_load_ps(lens)));
+    for (std::size_t k = 0; k < 4; ++k) {
+      out_means[(g + k) * out_stride] = means[k];
+    }
   }
   for (; g < groups; ++g) {
     __m256 acc;
@@ -343,10 +422,303 @@ __attribute__((target("avx2,fma"))) float grouped_mean_dot_avx2(
                      weights != nullptr ? weights + begin : nullptr, len,
                      &state, &acc, &tail);
     begin += len;
-    out_means[g] = (reduce_lanes(acc) + tail) / static_cast<float>(len);
+    out_means[g * out_stride] =
+        (reduce_lanes(acc) + tail) / static_cast<float>(len);
   }
   return reduce_lanes(_mm256_add_ps(state.dot_acc0, state.dot_acc1)) +
          state.dot_tail;
+}
+
+// --- extract_tile, avx2: eight shots per ymm ------------------------------
+
+/// True when every AVG group is shorter than a `width`-lane vector, so
+/// grouped_mean_dot runs no vector body and every sample is a tail sample
+/// (FNN-B's 5-sample groups).
+constexpr bool tails_only(std::size_t n, std::size_t groups,
+                          std::size_t width) noexcept {
+  return (n + groups - 1) / groups < width;
+}
+
+/// Fewest live shots for which a shot-per-lane block of `width` lanes beats
+/// running them one by one through the tier's grouped_mean_dot. With tails
+/// only, each shot's serial tail chain becomes one vector op per sample and
+/// the block pays from two shots on. With vector bodies (FNN-A) the bodies
+/// stay per shot and only tails, reductions and divides are shared, whose
+/// cost is per block: that pays only in a nearly full block.
+constexpr std::size_t min_block_shots(bool tails_only,
+                                      std::size_t width) noexcept {
+  return tails_only ? 2 : width - width / 4;
+}
+
+/// reduce_lanes over eight shots at once: lane l of the result is
+/// reduce_lanes(acc[l]), bitwise — the same pairs added in the same order,
+/// on transposed partial sums instead of one tree per shot.
+__attribute__((target("avx2,fma"))) inline __m256 reduce_lanes_x8(
+    const __m256* acc) {
+  __m256 quad[4];  // [shot 2k | shot 2k+1], a[i] + a[i + 4]
+  for (std::size_t k = 0; k < 4; ++k) {
+    quad[k] = _mm256_add_ps(
+        _mm256_permute2f128_ps(acc[2 * k], acc[2 * k + 1], 0x20),
+        _mm256_permute2f128_ps(acc[2 * k], acc[2 * k + 1], 0x31));
+  }
+  // quad[0] + quad[2] and quad[1] + quad[3], per shot.
+  const __m256 pairs01 = _mm256_add_ps(
+      _mm256_shuffle_ps(quad[0], quad[1], _MM_SHUFFLE(1, 0, 1, 0)),
+      _mm256_shuffle_ps(quad[0], quad[1], _MM_SHUFFLE(3, 2, 3, 2)));
+  const __m256 pairs23 = _mm256_add_ps(
+      _mm256_shuffle_ps(quad[2], quad[3], _MM_SHUFFLE(1, 0, 1, 0)),
+      _mm256_shuffle_ps(quad[2], quad[3], _MM_SHUFFLE(3, 2, 3, 2)));
+  // pair[0] + pair[1]; element 4h + e then holds shot h + 2e.
+  const __m256 one = _mm256_add_ps(
+      _mm256_shuffle_ps(pairs01, pairs23, _MM_SHUFFLE(2, 0, 2, 0)),
+      _mm256_shuffle_ps(pairs01, pairs23, _MM_SHUFFLE(3, 1, 3, 1)));
+  return _mm256_permutevar8x32_ps(one,
+                                  _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+}
+
+/// reduce_four over eight shots: lane l is shot l's sum through the same
+/// hadd tree, fed four shots instead of four groups.
+__attribute__((target("avx2,fma"))) inline __m256 reduce_four_x8(
+    const __m256* acc) {
+  const __m256 first = _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]),
+                                      _mm256_hadd_ps(acc[2], acc[3]));
+  const __m256 second = _mm256_hadd_ps(_mm256_hadd_ps(acc[4], acc[5]),
+                                       _mm256_hadd_ps(acc[6], acc[7]));
+  return _mm256_add_ps(_mm256_permute2f128_ps(first, second, 0x20),
+                       _mm256_permute2f128_ps(first, second, 0x31));
+}
+
+/// In-register 8x8 transpose: rows[j][l] <- rows[l][j].
+__attribute__((target("avx2,fma"))) inline void transpose8(__m256* rows) {
+  __m256 t[8];
+  for (std::size_t k = 0; k < 4; ++k) {
+    t[2 * k] = _mm256_unpacklo_ps(rows[2 * k], rows[2 * k + 1]);
+    t[2 * k + 1] = _mm256_unpackhi_ps(rows[2 * k], rows[2 * k + 1]);
+  }
+  __m256 u[8];
+  for (std::size_t m = 0; m < 2; ++m) {
+    const __m256* v = t + 4 * m;
+    u[4 * m] = _mm256_shuffle_ps(v[0], v[2], _MM_SHUFFLE(1, 0, 1, 0));
+    u[4 * m + 1] = _mm256_shuffle_ps(v[0], v[2], _MM_SHUFFLE(3, 2, 3, 2));
+    u[4 * m + 2] = _mm256_shuffle_ps(v[1], v[3], _MM_SHUFFLE(1, 0, 1, 0));
+    u[4 * m + 3] = _mm256_shuffle_ps(v[1], v[3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (std::size_t j = 0; j < 4; ++j) {
+    rows[j] = _mm256_permute2f128_ps(u[j], u[4 + j], 0x20);
+    rows[4 + j] = _mm256_permute2f128_ps(u[j], u[4 + j], 0x31);
+  }
+}
+
+/// Samples [i, i + count) of eight shots, count <= 8, transposed so rows[j]
+/// holds sample i + j of every shot lane. Rows past `count` read zero
+/// without touching memory.
+__attribute__((target("avx2,fma"))) inline void load_rows8(
+    const float* const* src, std::size_t i, std::size_t count,
+    __m256* rows) {
+  if (count == 8) {
+    for (std::size_t l = 0; l < 8; ++l) rows[l] = _mm256_loadu_ps(src[l] + i);
+  } else {
+    const __m256i mask =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    for (std::size_t l = 0; l < 8; ++l) {
+      rows[l] = _mm256_maskload_ps(src[l] + i, mask);
+    }
+  }
+  transpose8(rows);
+}
+
+/// Where a shot-per-lane block's features go: feature c of its lanes at
+/// out[c * stride], lanes outside `keep` as +0.
+struct block_out8 {
+  const extract_spec* spec;
+  float* out;
+  std::size_t stride;
+  __m256 keep;
+};
+
+/// NORM feature c of the block's eight lanes and store it.
+__attribute__((target("avx2,fma"))) inline void store_feature8(
+    const block_out8& dst, std::size_t c, __m256 x) {
+  const extract_spec& spec = *dst.spec;
+  const __m256 centred = _mm256_sub_ps(x, _mm256_set1_ps(spec.offset[c]));
+  const __m256 scale = _mm256_set1_ps(spec.scale[c]);
+  const __m256 y = spec.op == norm_op::multiply ? _mm256_mul_ps(centred, scale)
+                                                : _mm256_div_ps(centred, scale);
+  _mm256_storeu_ps(dst.out + c * dst.stride, _mm256_and_ps(y, dst.keep));
+}
+
+/// One quadrature of eight shots whose groups are all shorter than a
+/// vector: every sample is a tail sample, so the quadrature streams through
+/// transposed 8x8 blocks used straight from registers. Writes the group
+/// means as features [first, first + groups) and returns the MF partial.
+/// The single-shot kernel's reductions see all-zero accumulators here, so
+/// they enter as +0.
+__attribute__((target("avx2,fma"))) inline __m256 stream_quadrature8(
+    const float* const* shot, std::size_t n, std::size_t groups,
+    const float* w, std::size_t first, const block_out8& dst) {
+  const __m256 zero = _mm256_setzero_ps();
+  const std::size_t quotient = n / groups;
+  const std::size_t remainder = n % groups;
+  std::size_t carry = 0;
+  const auto next_len = [&]() noexcept {
+    std::size_t len = quotient;
+    carry += remainder;
+    if (carry >= groups) {
+      carry -= groups;
+      ++len;
+    }
+    return len;
+  };
+  std::size_t g = 0;
+  std::size_t len = next_len();
+  std::size_t end = len;
+  __m256 t = zero;
+  __m256 dot_tail = zero;
+  for (std::size_t i = 0; i < n; i += 8) {
+    const std::size_t count = std::min<std::size_t>(8, n - i);
+    __m256 rows[8];
+    load_rows8(shot, i, count, rows);
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < 8; ++j) {
+      if (j == count) break;
+      t = _mm256_add_ps(t, rows[j]);
+      if (w != nullptr) {
+        dot_tail = _mm256_fmadd_ps(rows[j], _mm256_set1_ps(w[i + j]), dot_tail);
+      }
+      if (i + j + 1 == end) {
+        store_feature8(dst, first + g,
+                       _mm256_div_ps(_mm256_add_ps(zero, t),
+                                     _mm256_set1_ps(static_cast<float>(len))));
+        t = zero;
+        if (++g < groups) {
+          len = next_len();
+          end += len;
+        }
+      }
+    }
+  }
+  return _mm256_add_ps(zero, dot_tail);
+}
+
+/// One quadrature of eight shots, `active` of them live, with vector
+/// bodies: grouped_mean_dot_avx2's group walk with each body per shot
+/// (accumulate_body) and the tails shot-per-lane from a cached transposed
+/// block. Groups [0, fours) reduce through reduce_four's tree and the rest
+/// through reduce_lanes', as the single-shot kernel does; a group without a
+/// body reduces all-zero accumulators to +0 there, so it skips the
+/// reduction. Writes features [first, first + groups); returns the MF
+/// partial.
+__attribute__((target("avx2,fma"))) inline __m256 group_quadrature8(
+    const float* const* shot, std::size_t active, std::size_t n,
+    std::size_t groups, const float* w, std::size_t first,
+    const block_out8& dst) {
+  constexpr std::size_t kShots = 8;
+  const __m256 zero = _mm256_setzero_ps();
+  const std::size_t fours = groups - groups % 4;
+  __m256 dot0[kShots];
+  __m256 dot1[kShots];
+  for (std::size_t l = 0; l < kShots; ++l) dot0[l] = dot1[l] = zero;
+  __m256 dot_tail = zero;
+  __m256 rows[kShots];  // samples [rows_begin, rows_end), shot-per-lane
+  std::size_t rows_begin = 0;
+  std::size_t rows_end = 0;
+  const std::size_t quotient = n / groups;
+  const std::size_t remainder = n % groups;
+  std::size_t begin = 0;
+  std::size_t carry = 0;
+  for (std::size_t g = 0; g < groups; ++g) {
+    std::size_t len = quotient;
+    carry += remainder;
+    if (carry >= groups) {
+      carry -= groups;
+      ++len;
+    }
+    const std::size_t body = len & ~std::size_t{7};
+    __m256 sum = zero;
+    if (body != 0) {
+      // Lanes past the live shots sum nothing; they store +0.
+      __m256 acc[kShots];
+      for (std::size_t l = 0; l < kShots; ++l) {
+        acc[l] = l < active ? accumulate_body(
+                                  shot[l] + begin,
+                                  w != nullptr ? w + begin : nullptr, len,
+                                  &dot0[l], &dot1[l])
+                            : zero;
+      }
+      sum = g < fours ? reduce_four_x8(acc) : reduce_lanes_x8(acc);
+    }
+    __m256 t = zero;
+    for (std::size_t i = begin + body; i < begin + len; ++i) {
+      if (i >= rows_end) {
+        const std::size_t count = std::min(kShots, n - i);
+        load_rows8(shot, i, count, rows);
+        rows_begin = i;
+        rows_end = i + count;
+      }
+      const __m256 x = rows[i - rows_begin];
+      t = _mm256_add_ps(t, x);
+      if (w != nullptr) {
+        dot_tail = _mm256_fmadd_ps(x, _mm256_set1_ps(w[i]), dot_tail);
+      }
+    }
+    store_feature8(dst, first + g,
+                   _mm256_div_ps(_mm256_add_ps(sum, t),
+                                 _mm256_set1_ps(static_cast<float>(len))));
+    begin += len;
+  }
+  if (w == nullptr) return zero;
+  __m256 acc[kShots];
+  for (std::size_t l = 0; l < kShots; ++l) {
+    acc[l] = _mm256_add_ps(dot0[l], dot1[l]);
+  }
+  return _mm256_add_ps(reduce_lanes_x8(acc), dot_tail);
+}
+
+__attribute__((target("avx2,fma"))) void extract_tile_avx2(
+    const float* const* traces, std::size_t lanes, std::size_t n,
+    const extract_spec& spec, float* plane, std::size_t stride) noexcept {
+  // grouped_mean_dot_avx2 on eight shots at once: tail samples run
+  // shot-per-lane, so `t += p` and the MF tail fmaf become one vector op
+  // for eight shots, and vector bodies stay per shot.
+  constexpr std::size_t kShots = 8;
+  const std::size_t groups = spec.groups;
+  const bool streamed = tails_only(n, groups, kShots);
+  const std::size_t min_shots = min_block_shots(streamed, kShots);
+  const float* envelope = spec.envelope;
+  for (std::size_t base = 0; base < lanes; base += kShots) {
+    const std::size_t active = std::min(kShots, lanes - base);
+    float* out = plane + base;
+    if (active < min_shots) {
+      for (std::size_t l = 0; l < active; ++l) {
+        extract_shot<grouped_mean_dot_avx2>(traces[base + l], n, spec,
+                                            out + l, stride);
+      }
+      zero_lanes(spec.width(), active, kShots, out, stride);
+      continue;
+    }
+    const block_out8 dst{
+        &spec, out, stride,
+        _mm256_castsi256_ps(
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(active)),
+                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)))};
+    __m256 mf = _mm256_setzero_ps();
+    for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
+      const std::size_t offset = quadrature * n;
+      const float* w = envelope != nullptr ? envelope + offset : nullptr;
+      // Lanes past a ragged tile's end re-read its first shot.
+      const float* shot[kShots];
+      for (std::size_t l = 0; l < kShots; ++l) {
+        shot[l] = traces[base + (l < active ? l : 0)] + offset;
+      }
+      const std::size_t first = quadrature * groups;
+      const __m256 partial =
+          streamed ? stream_quadrature8(shot, n, groups, w, first, dst)
+                   : group_quadrature8(shot, active, n, groups, w, first, dst);
+      mf = _mm256_add_ps(mf, partial);
+    }
+    if (envelope != nullptr) store_feature8(dst, 2 * groups, mf);
+  }
 }
 
 __attribute__((target("avx2,fma"))) void fc_plane_avx2(
@@ -515,13 +887,13 @@ struct mean_dot_state512 {
   float dot_tail;
 };
 
-__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline void
-accumulate_group512(const float* p, const float* w, std::size_t len,
-                    mean_dot_state512* state, __m512* acc,
-                    float* tail) noexcept {
+/// One group's 16-lane vector body: samples [0, len & ~15) in 32- then
+/// 16-sample chunks (see the avx2 accumulate_body); tails are the caller's.
+__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline __m512
+accumulate_body512(const float* p, const float* w, std::size_t len,
+                   __m512* dot_acc0, __m512* dot_acc1) noexcept {
   __m512 sum0 = _mm512_setzero_ps();
   __m512 sum1 = _mm512_setzero_ps();
-  float t = 0.0f;
   std::size_t s = 0;
   if (w != nullptr) {
     for (; s + 32 <= len; s += 32) {
@@ -529,20 +901,13 @@ accumulate_group512(const float* p, const float* w, std::size_t len,
       const __m512 v1 = _mm512_loadu_ps(p + s + 16);
       sum0 = _mm512_add_ps(sum0, v0);
       sum1 = _mm512_add_ps(sum1, v1);
-      state->dot_acc0 =
-          _mm512_fmadd_ps(v0, _mm512_loadu_ps(w + s), state->dot_acc0);
-      state->dot_acc1 =
-          _mm512_fmadd_ps(v1, _mm512_loadu_ps(w + s + 16), state->dot_acc1);
+      *dot_acc0 = _mm512_fmadd_ps(v0, _mm512_loadu_ps(w + s), *dot_acc0);
+      *dot_acc1 = _mm512_fmadd_ps(v1, _mm512_loadu_ps(w + s + 16), *dot_acc1);
     }
     for (; s + 16 <= len; s += 16) {
       const __m512 v = _mm512_loadu_ps(p + s);
       sum0 = _mm512_add_ps(sum0, v);
-      state->dot_acc0 =
-          _mm512_fmadd_ps(v, _mm512_loadu_ps(w + s), state->dot_acc0);
-    }
-    for (; s < len; ++s) {
-      t += p[s];
-      state->dot_tail = std::fmaf(p[s], w[s], state->dot_tail);
+      *dot_acc0 = _mm512_fmadd_ps(v, _mm512_loadu_ps(w + s), *dot_acc0);
     }
   } else {
     for (; s + 32 <= len; s += 32) {
@@ -552,16 +917,32 @@ accumulate_group512(const float* p, const float* w, std::size_t len,
     for (; s + 16 <= len; s += 16) {
       sum0 = _mm512_add_ps(sum0, _mm512_loadu_ps(p + s));
     }
+  }
+  return _mm512_add_ps(sum0, sum1);
+}
+
+__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline void
+accumulate_group512(const float* p, const float* w, std::size_t len,
+                    mean_dot_state512* state, __m512* acc,
+                    float* tail) noexcept {
+  *acc = accumulate_body512(p, w, len, &state->dot_acc0, &state->dot_acc1);
+  float t = 0.0f;
+  std::size_t s = len & ~std::size_t{15};
+  if (w != nullptr) {
+    for (; s < len; ++s) {
+      t += p[s];
+      state->dot_tail = std::fmaf(p[s], w[s], state->dot_tail);
+    }
+  } else {
     for (; s < len; ++s) t += p[s];
   }
-  *acc = _mm512_add_ps(sum0, sum1);
   *tail = t;
 }
 
 __attribute__((target("avx512f,avx512bw,avx512dq,fma"))) float
 grouped_mean_dot_avx512(const float* values, const float* weights,
-                        std::size_t n, std::size_t groups,
-                        float* out_means) noexcept {
+                        std::size_t n, std::size_t groups, float* out_means,
+                        std::size_t out_stride) noexcept {
   // 16-lane fused pass, same structure as the avx2 tier: per group one
   // vector loop feeds both the group-sum accumulator (reduced per group)
   // and the matched-filter FMA accumulators (persist across groups, reduced
@@ -584,10 +965,282 @@ grouped_mean_dot_avx512(const float* values, const float* weights,
                         weights != nullptr ? weights + begin : nullptr, len,
                         &state, &acc, &tail);
     begin += len;
-    out_means[g] = (reduce_lanes512(acc) + tail) / static_cast<float>(len);
+    out_means[g * out_stride] =
+        (reduce_lanes512(acc) + tail) / static_cast<float>(len);
   }
   return reduce_lanes512(_mm512_add_ps(state.dot_acc0, state.dot_acc1)) +
          state.dot_tail;
+}
+
+// --- extract_tile, avx512: sixteen shots per zmm ---------------------------
+
+/// reduce_lanes512 over sixteen shots at once: lane l of the result is
+/// reduce_lanes512(acc[l]), bitwise — the same pairs added in the same
+/// order, on transposed partial sums instead of one tree per shot.
+__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline __m512
+reduce_lanes512_x16(const __m512* acc) {
+  __m512 half[8];  // [shot 2k | shot 2k+1], a[i] + a[i + 8]
+  for (std::size_t k = 0; k < 8; ++k) {
+    half[k] = _mm512_add_ps(
+        _mm512_shuffle_f32x4(acc[2 * k], acc[2 * k + 1],
+                             _MM_SHUFFLE(1, 0, 1, 0)),
+        _mm512_shuffle_f32x4(acc[2 * k], acc[2 * k + 1],
+                             _MM_SHUFFLE(3, 2, 3, 2)));
+  }
+  __m512 quad[4];  // shots 4k..4k+3 in 128-bit lanes, h[i] + h[i + 4]
+  for (std::size_t k = 0; k < 4; ++k) {
+    quad[k] = _mm512_add_ps(
+        _mm512_shuffle_f32x4(half[2 * k], half[2 * k + 1],
+                             _MM_SHUFFLE(2, 0, 2, 0)),
+        _mm512_shuffle_f32x4(half[2 * k], half[2 * k + 1],
+                             _MM_SHUFFLE(3, 1, 3, 1)));
+  }
+  // quad[0] + quad[2] and quad[1] + quad[3], per shot.
+  const __m512 pairs01 = _mm512_add_ps(
+      _mm512_shuffle_ps(quad[0], quad[1], _MM_SHUFFLE(1, 0, 1, 0)),
+      _mm512_shuffle_ps(quad[0], quad[1], _MM_SHUFFLE(3, 2, 3, 2)));
+  const __m512 pairs23 = _mm512_add_ps(
+      _mm512_shuffle_ps(quad[2], quad[3], _MM_SHUFFLE(1, 0, 1, 0)),
+      _mm512_shuffle_ps(quad[2], quad[3], _MM_SHUFFLE(3, 2, 3, 2)));
+  // pair[0] + pair[1]; element 4h + e then holds shot h + 4e.
+  const __m512 one = _mm512_add_ps(
+      _mm512_shuffle_ps(pairs01, pairs23, _MM_SHUFFLE(2, 0, 2, 0)),
+      _mm512_shuffle_ps(pairs01, pairs23, _MM_SHUFFLE(3, 1, 3, 1)));
+  return _mm512_permutexvar_ps(
+      _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15),
+      one);
+}
+
+/// In-register 16x16 transpose: rows[j][l] <- rows[l][j].
+__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline void
+transpose16(__m512* rows) {
+  __m512 t[16];
+  for (std::size_t k = 0; k < 8; ++k) {
+    t[2 * k] = _mm512_unpacklo_ps(rows[2 * k], rows[2 * k + 1]);
+    t[2 * k + 1] = _mm512_unpackhi_ps(rows[2 * k], rows[2 * k + 1]);
+  }
+  // u[4m + j], 128-bit lane h: element 4h + j of rows 4m..4m+3.
+  __m512 u[16];
+  for (std::size_t m = 0; m < 4; ++m) {
+    const __m512* v = t + 4 * m;
+    u[4 * m] = _mm512_shuffle_ps(v[0], v[2], _MM_SHUFFLE(1, 0, 1, 0));
+    u[4 * m + 1] = _mm512_shuffle_ps(v[0], v[2], _MM_SHUFFLE(3, 2, 3, 2));
+    u[4 * m + 2] = _mm512_shuffle_ps(v[1], v[3], _MM_SHUFFLE(1, 0, 1, 0));
+    u[4 * m + 3] = _mm512_shuffle_ps(v[1], v[3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (std::size_t j = 0; j < 4; ++j) {
+    const __m512 a =
+        _mm512_shuffle_f32x4(u[j], u[4 + j], _MM_SHUFFLE(2, 0, 2, 0));
+    const __m512 b =
+        _mm512_shuffle_f32x4(u[j], u[4 + j], _MM_SHUFFLE(3, 1, 3, 1));
+    const __m512 c =
+        _mm512_shuffle_f32x4(u[8 + j], u[12 + j], _MM_SHUFFLE(2, 0, 2, 0));
+    const __m512 d =
+        _mm512_shuffle_f32x4(u[8 + j], u[12 + j], _MM_SHUFFLE(3, 1, 3, 1));
+    rows[j] = _mm512_shuffle_f32x4(a, c, _MM_SHUFFLE(2, 0, 2, 0));
+    rows[8 + j] = _mm512_shuffle_f32x4(a, c, _MM_SHUFFLE(3, 1, 3, 1));
+    rows[4 + j] = _mm512_shuffle_f32x4(b, d, _MM_SHUFFLE(2, 0, 2, 0));
+    rows[12 + j] = _mm512_shuffle_f32x4(b, d, _MM_SHUFFLE(3, 1, 3, 1));
+  }
+}
+
+/// Samples [i, i + count) of sixteen shots, count <= 16, transposed so
+/// rows[j] holds sample i + j of every shot lane. Rows past `count` read
+/// zero without touching memory.
+__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline void
+load_rows16(const float* const* src, std::size_t i, std::size_t count,
+            __m512* rows) {
+  const auto mask = static_cast<__mmask16>((1u << count) - 1);
+  for (std::size_t l = 0; l < 16; ++l) {
+    rows[l] = _mm512_maskz_loadu_ps(mask, src[l] + i);
+  }
+  transpose16(rows);
+}
+
+/// Where a shot-per-lane block's features go: feature c of its lanes at
+/// out[c * stride], the lanes in `store` written, those outside `keep` as
+/// +0.
+struct block_out16 {
+  const extract_spec* spec;
+  float* out;
+  std::size_t stride;
+  __mmask16 keep;
+  __mmask16 store;
+};
+
+/// NORM feature c of the block's sixteen lanes and store it.
+__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline void
+store_feature16(const block_out16& dst, std::size_t c, __m512 x) {
+  const extract_spec& spec = *dst.spec;
+  const __m512 centred = _mm512_sub_ps(x, _mm512_set1_ps(spec.offset[c]));
+  const __m512 scale = _mm512_set1_ps(spec.scale[c]);
+  const __m512 y = spec.op == norm_op::multiply ? _mm512_mul_ps(centred, scale)
+                                                : _mm512_div_ps(centred, scale);
+  _mm512_mask_storeu_ps(dst.out + c * dst.stride, dst.store,
+                        _mm512_maskz_mov_ps(dst.keep, y));
+}
+
+/// stream_quadrature8 at sixteen shots: transposed 16x16 blocks used
+/// straight from registers.
+__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline __m512
+stream_quadrature16(const float* const* shot, std::size_t n,
+                    std::size_t groups, const float* w, std::size_t first,
+                    const block_out16& dst) {
+  const __m512 zero = _mm512_setzero_ps();
+  const std::size_t quotient = n / groups;
+  const std::size_t remainder = n % groups;
+  std::size_t carry = 0;
+  const auto next_len = [&]() noexcept {
+    std::size_t len = quotient;
+    carry += remainder;
+    if (carry >= groups) {
+      carry -= groups;
+      ++len;
+    }
+    return len;
+  };
+  std::size_t g = 0;
+  std::size_t len = next_len();
+  std::size_t end = len;
+  __m512 t = zero;
+  __m512 dot_tail = zero;
+  for (std::size_t i = 0; i < n; i += 16) {
+    const std::size_t count = std::min<std::size_t>(16, n - i);
+    __m512 rows[16];
+    load_rows16(shot, i, count, rows);
+#pragma GCC unroll 16
+    for (std::size_t j = 0; j < 16; ++j) {
+      if (j == count) break;
+      t = _mm512_add_ps(t, rows[j]);
+      if (w != nullptr) {
+        dot_tail = _mm512_fmadd_ps(rows[j], _mm512_set1_ps(w[i + j]), dot_tail);
+      }
+      if (i + j + 1 == end) {
+        store_feature16(dst, first + g,
+                        _mm512_div_ps(_mm512_add_ps(zero, t),
+                                      _mm512_set1_ps(static_cast<float>(len))));
+        t = zero;
+        if (++g < groups) {
+          len = next_len();
+          end += len;
+        }
+      }
+    }
+  }
+  return _mm512_add_ps(zero, dot_tail);
+}
+
+/// group_quadrature8 at sixteen shots, every group reduced through
+/// reduce_lanes512's tree.
+__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline __m512
+group_quadrature16(const float* const* shot, std::size_t active,
+                   std::size_t n, std::size_t groups, const float* w,
+                   std::size_t first, const block_out16& dst) {
+  constexpr std::size_t kShots = 16;
+  const __m512 zero = _mm512_setzero_ps();
+  __m512 dot0[kShots];
+  __m512 dot1[kShots];
+  for (std::size_t l = 0; l < kShots; ++l) dot0[l] = dot1[l] = zero;
+  __m512 dot_tail = zero;
+  __m512 rows[kShots];  // samples [rows_begin, rows_end), shot-per-lane
+  std::size_t rows_begin = 0;
+  std::size_t rows_end = 0;
+  const std::size_t quotient = n / groups;
+  const std::size_t remainder = n % groups;
+  std::size_t begin = 0;
+  std::size_t carry = 0;
+  for (std::size_t g = 0; g < groups; ++g) {
+    std::size_t len = quotient;
+    carry += remainder;
+    if (carry >= groups) {
+      carry -= groups;
+      ++len;
+    }
+    const std::size_t body = len & ~std::size_t{15};
+    __m512 sum = zero;
+    if (body != 0) {
+      // Lanes past the live shots sum nothing; they store +0.
+      __m512 acc[kShots];
+      for (std::size_t l = 0; l < kShots; ++l) {
+        acc[l] = l < active ? accumulate_body512(
+                                  shot[l] + begin,
+                                  w != nullptr ? w + begin : nullptr, len,
+                                  &dot0[l], &dot1[l])
+                            : zero;
+      }
+      sum = reduce_lanes512_x16(acc);
+    }
+    __m512 t = zero;
+    for (std::size_t i = begin + body; i < begin + len; ++i) {
+      if (i >= rows_end) {
+        const std::size_t count = std::min(kShots, n - i);
+        load_rows16(shot, i, count, rows);
+        rows_begin = i;
+        rows_end = i + count;
+      }
+      const __m512 x = rows[i - rows_begin];
+      t = _mm512_add_ps(t, x);
+      if (w != nullptr) {
+        dot_tail = _mm512_fmadd_ps(x, _mm512_set1_ps(w[i]), dot_tail);
+      }
+    }
+    store_feature16(dst, first + g,
+                    _mm512_div_ps(_mm512_add_ps(sum, t),
+                                  _mm512_set1_ps(static_cast<float>(len))));
+    begin += len;
+  }
+  if (w == nullptr) return zero;
+  __m512 acc[kShots];
+  for (std::size_t l = 0; l < kShots; ++l) {
+    acc[l] = _mm512_add_ps(dot0[l], dot1[l]);
+  }
+  return _mm512_add_ps(reduce_lanes512_x16(acc), dot_tail);
+}
+
+__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) void
+extract_tile_avx512(const float* const* traces, std::size_t lanes,
+                    std::size_t n, const extract_spec& spec, float* plane,
+                    std::size_t stride) noexcept {
+  // extract_tile_avx2's structure at sixteen shots per zmm.
+  constexpr std::size_t kShots = 16;
+  const std::size_t groups = spec.groups;
+  const std::size_t padded = padded_lanes(lanes);
+  const bool streamed = tails_only(n, groups, kShots);
+  const std::size_t min_shots = min_block_shots(streamed, kShots);
+  const float* envelope = spec.envelope;
+  for (std::size_t base = 0; base < padded; base += kShots) {
+    const std::size_t active = std::min(kShots, lanes - base);
+    const std::size_t block = std::min(kShots, padded - base);
+    float* out = plane + base;
+    if (active < min_shots) {
+      for (std::size_t l = 0; l < active; ++l) {
+        extract_shot<grouped_mean_dot_avx512>(traces[base + l], n, spec,
+                                              out + l, stride);
+      }
+      zero_lanes(spec.width(), active, block, out, stride);
+      continue;
+    }
+    const block_out16 dst{&spec, out, stride,
+                          static_cast<__mmask16>((1u << active) - 1),
+                          static_cast<__mmask16>((1u << block) - 1)};
+    __m512 mf = _mm512_setzero_ps();
+    for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
+      const std::size_t offset = quadrature * n;
+      const float* w = envelope != nullptr ? envelope + offset : nullptr;
+      // Lanes past a ragged tile's end re-read its first shot.
+      const float* shot[kShots];
+      for (std::size_t l = 0; l < kShots; ++l) {
+        shot[l] = traces[base + (l < active ? l : 0)] + offset;
+      }
+      const std::size_t first = quadrature * groups;
+      const __m512 partial =
+          streamed
+              ? stream_quadrature16(shot, n, groups, w, first, dst)
+              : group_quadrature16(shot, active, n, groups, w, first, dst);
+      mf = _mm512_add_ps(mf, partial);
+    }
+    if (envelope != nullptr) store_feature16(dst, 2 * groups, mf);
+  }
 }
 
 __attribute__((target("avx512f,avx512bw,avx512dq,fma"))) void fc_plane_avx512(
@@ -722,7 +1375,7 @@ float sum(const float* values, std::size_t n) noexcept {
 float grouped_mean_dot(const float* values, const float* weights,
                        std::size_t n, std::size_t groups,
                        float* out_means) noexcept {
-  return grouped_mean_dot_avx2(values, weights, n, groups, out_means);
+  return grouped_mean_dot_avx2(values, weights, n, groups, out_means, 1);
 }
 
 void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
@@ -730,6 +1383,13 @@ void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
               std::size_t stride, bool relu, float* out_plane) noexcept {
   fc_plane_avx2(weights, bias, out_dim, in_dim, in_plane, lanes, stride, relu,
                 out_plane);
+}
+
+void extract_tile(const float* const* traces, std::size_t lanes,
+                  std::size_t samples_per_quadrature, const extract_spec& spec,
+                  float* plane, std::size_t stride) noexcept {
+  extract_tile_avx2(traces, lanes, samples_per_quadrature, spec, plane,
+                    stride);
 }
 
 }  // namespace avx2
@@ -747,7 +1407,7 @@ float sum(const float* values, std::size_t n) noexcept {
 float grouped_mean_dot(const float* values, const float* weights,
                        std::size_t n, std::size_t groups,
                        float* out_means) noexcept {
-  return grouped_mean_dot_avx512(values, weights, n, groups, out_means);
+  return grouped_mean_dot_avx512(values, weights, n, groups, out_means, 1);
 }
 
 void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
@@ -755,6 +1415,13 @@ void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
               std::size_t stride, bool relu, float* out_plane) noexcept {
   fc_plane_avx512(weights, bias, out_dim, in_dim, in_plane, lanes, stride,
                   relu, out_plane);
+}
+
+void extract_tile(const float* const* traces, std::size_t lanes,
+                  std::size_t samples_per_quadrature, const extract_spec& spec,
+                  float* plane, std::size_t stride) noexcept {
+  extract_tile_avx512(traces, lanes, samples_per_quadrature, spec, plane,
+                      stride);
 }
 
 }  // namespace avx512
@@ -787,6 +1454,13 @@ void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
                    relu, out_plane);
 }
 
+void extract_tile(const float* const* traces, std::size_t lanes,
+                  std::size_t samples_per_quadrature, const extract_spec& spec,
+                  float* plane, std::size_t stride) noexcept {
+  scalar::extract_tile(traces, lanes, samples_per_quadrature, spec, plane,
+                       stride);
+}
+
 }  // namespace avx2
 
 namespace avx512 {
@@ -810,6 +1484,13 @@ void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
               std::size_t stride, bool relu, float* out_plane) noexcept {
   scalar::fc_plane(weights, bias, out_dim, in_dim, in_plane, lanes, stride,
                    relu, out_plane);
+}
+
+void extract_tile(const float* const* traces, std::size_t lanes,
+                  std::size_t samples_per_quadrature, const extract_spec& spec,
+                  float* plane, std::size_t stride) noexcept {
+  scalar::extract_tile(traces, lanes, samples_per_quadrature, spec, plane,
+                       stride);
 }
 
 }  // namespace avx512
@@ -838,6 +1519,8 @@ struct kernel_table {
   void (*fc_plane)(const float*, const float*, std::size_t, std::size_t,
                    const float*, std::size_t, std::size_t, bool,
                    float*) noexcept;
+  void (*extract_tile)(const float* const*, std::size_t, std::size_t,
+                       const extract_spec&, float*, std::size_t) noexcept;
 };
 
 const kernel_table& active_table() noexcept {
@@ -845,15 +1528,16 @@ const kernel_table& active_table() noexcept {
     switch (active_float_simd_tier()) {
       case simd_tier::avx512:
         return kernel_table{avx512::dot, avx512::sum,
-                            avx512::grouped_mean_dot, avx512::fc_plane};
+                            avx512::grouped_mean_dot, avx512::fc_plane,
+                            avx512::extract_tile};
       case simd_tier::avx2:
         return kernel_table{avx2::dot, avx2::sum, avx2::grouped_mean_dot,
-                            avx2::fc_plane};
+                            avx2::fc_plane, avx2::extract_tile};
       case simd_tier::scalar64:
         break;
     }
     return kernel_table{scalar::dot, scalar::sum, scalar::grouped_mean_dot,
-                        scalar::fc_plane};
+                        scalar::fc_plane, scalar::extract_tile};
   }();
   return table;
 }
@@ -880,6 +1564,13 @@ void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
               std::size_t stride, bool relu, float* out_plane) noexcept {
   active_table().fc_plane(weights, bias, out_dim, in_dim, in_plane, lanes,
                           stride, relu, out_plane);
+}
+
+void extract_tile(const float* const* traces, std::size_t lanes,
+                  std::size_t samples_per_quadrature, const extract_spec& spec,
+                  float* plane, std::size_t stride) noexcept {
+  active_table().extract_tile(traces, lanes, samples_per_quadrature, spec,
+                              plane, stride);
 }
 
 // ---------------------------------------------------------------------------

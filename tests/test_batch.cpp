@@ -17,7 +17,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "klinq/common/rng.hpp"
@@ -211,6 +215,187 @@ TEST(BatchParity, ExtractTileMatchesExtractBlockExactly) {
     for (std::size_t s = lanes; s < nn::kernels::padded_lanes(lanes); ++s) {
       for (std::size_t i = 0; i < width; ++i) {
         ASSERT_EQ(plane[i * kStride + s], 0.0f) << "pad lane " << s;
+      }
+    }
+  }
+}
+
+// --- dsp: the tile kernel vs per-shot extraction, per tier and shape -------
+
+/// Two-class traces (class 0 around +0.4, class 1 around -0.4) on a slow
+/// ramp, so group means, MF taps and NORM factors all differ by position.
+data::trace_dataset ramp_traces(std::size_t count, std::size_t n,
+                                std::uint64_t seed) {
+  data::trace_dataset ds(count, n);
+  ds.resize_traces(count);
+  xoshiro256 rng(seed);
+  std::vector<float> trace(2 * n);
+  for (std::size_t r = 0; r < count; ++r) {
+    const bool excited = r % 2 == 1;
+    for (std::size_t i = 0; i < 2 * n; ++i) {
+      const double ramp = static_cast<double>(i) / static_cast<double>(2 * n);
+      trace[i] = static_cast<float>((excited ? -0.4 : 0.4) * ramp +
+                                    rng.normal(0.0, 0.3));
+    }
+    ds.set_trace(r, trace, excited);
+  }
+  return ds;
+}
+
+std::uint32_t float_bits(float v) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// feature_pipeline::extract with `GroupedMeanDot` standing in for the
+/// dispatched kernel: the per-shot oracle of one tier's extract_tile.
+template <auto GroupedMeanDot>
+void extract_on_tier(const dsp::feature_pipeline& pipeline, const float* trace,
+                     std::size_t n, std::span<float> out) {
+  const std::size_t groups = pipeline.config().groups_per_quadrature;
+  const bool use_mf = pipeline.config().use_matched_filter;
+  float mf = 0.0f;
+  for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
+    mf += GroupedMeanDot(
+        trace + quadrature * n,
+        use_mf ? pipeline.filter().envelope().data() + quadrature * n
+               : nullptr,
+        n, groups, out.data() + quadrature * groups);
+  }
+  if (use_mf) out[2 * groups] = mf;
+  pipeline.normalizer().apply(out);
+}
+
+using extract_tile_fn = void (*)(const float* const*, std::size_t,
+                                 std::size_t, const nn::kernels::extract_spec&,
+                                 float*, std::size_t) noexcept;
+using extract_oracle_fn = void (*)(const dsp::feature_pipeline&, const float*,
+                                   std::size_t, std::span<float>);
+
+/// Runs `tile` over `lanes` traces and checks the plane bit for bit: shot
+/// lanes against `oracle`, pad lanes +0, lanes past the padding untouched.
+void expect_tile_matches(const dsp::feature_pipeline& pipeline,
+                         const std::vector<std::vector<float>>& traces,
+                         std::size_t n, std::size_t lanes,
+                         const std::function<void(const float* const*,
+                                                  float*, std::size_t)>& tile,
+                         extract_oracle_fn oracle, const std::string& where) {
+  constexpr std::size_t kStride = nn::kernels::max_tile_lanes + 8;
+  constexpr float kUntouched = -7.25f;
+  const std::size_t width = pipeline.output_width();
+  std::vector<const float*> pointers(lanes);
+  for (std::size_t s = 0; s < lanes; ++s) pointers[s] = traces[s].data();
+  std::vector<float> plane(width * kStride, kUntouched);
+  tile(pointers.data(), plane.data(), kStride);
+  std::vector<float> row(width);
+  for (std::size_t s = 0; s < lanes; ++s) {
+    oracle(pipeline, traces[s].data(), n, row);
+    for (std::size_t c = 0; c < width; ++c) {
+      ASSERT_EQ(float_bits(plane[c * kStride + s]), float_bits(row[c]))
+          << where << " lanes " << lanes << " shot " << s << " feature " << c
+          << ": " << plane[c * kStride + s] << " vs " << row[c];
+    }
+  }
+  const std::size_t padded = nn::kernels::padded_lanes(lanes);
+  for (std::size_t c = 0; c < width; ++c) {
+    for (std::size_t s = lanes; s < padded; ++s) {
+      ASSERT_EQ(float_bits(plane[c * kStride + s]), float_bits(0.0f))
+          << where << " lanes " << lanes << " pad lane " << s;
+    }
+    for (std::size_t s = padded; s < kStride; ++s) {
+      ASSERT_EQ(plane[c * kStride + s], kUntouched)
+          << where << " lanes " << lanes << " wrote stride lane " << s;
+    }
+  }
+}
+
+// Every BatchParity fixture above has G = 15; this covers the FNN-B shape
+// (G = 100, all samples in group tails), group lengths on both sides of the
+// 8/16/32-sample vector chunks, MF off, z-score NORM, ragged tiles, lanes
+// taken from two datasets at a row offset, and each lane's trace in its own
+// exactly sized allocation (so an over-read of a trace end is a sanitizer
+// error, not a neighbour's samples).
+TEST(TileExtractParity, EveryTierMatchesPerShotExtractBitwise) {
+  struct tier {
+    const char* name;
+    bool available;
+    extract_tile_fn tile;
+    extract_oracle_fn oracle;
+  };
+  const tier tiers[] = {
+      {"scalar", true, nn::kernels::scalar::extract_tile,
+       extract_on_tier<nn::kernels::scalar::grouped_mean_dot>},
+      {"avx2", nn::kernels::avx2_available(), nn::kernels::avx2::extract_tile,
+       extract_on_tier<nn::kernels::avx2::grouped_mean_dot>},
+      {"avx512", nn::kernels::avx512_available(),
+       nn::kernels::avx512::extract_tile,
+       extract_on_tier<nn::kernels::avx512::grouped_mean_dot>},
+  };
+  struct shape {
+    std::size_t n;
+    std::size_t groups;
+  };
+  // Group lengths 33/34, 5, 7/8, 142/143, 1, 25 and 50: all-tail groups,
+  // 8- and 16-sample chunks with and without tails, 32 + 16 chains.
+  const shape shapes[] = {{500, 15}, {500, 100}, {37, 5},  {1000, 7},
+                          {64, 64},  {1000, 40}, {300, 6}};
+  const dsp::feature_pipeline_config configs[] = {
+      {.use_matched_filter = true, .normalization = dsp::norm_mode::pow2_shift},
+      {.use_matched_filter = false,
+       .normalization = dsp::norm_mode::pow2_shift},
+      {.use_matched_filter = true, .normalization = dsp::norm_mode::zscore},
+  };
+  const std::size_t lane_counts[] = {1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 33, 63,
+                                     64};
+  constexpr std::size_t kRowOffset = 5;
+  for (const shape& sh : shapes) {
+    const data::trace_dataset train = ramp_traces(24, sh.n, 100 + sh.n);
+    const data::trace_dataset first = ramp_traces(40, sh.n, 200 + sh.n);
+    const data::trace_dataset second = ramp_traces(40, sh.n, 300 + sh.n);
+    // Lane s alternates between the two datasets from row kRowOffset on.
+    std::vector<std::vector<float>> traces;
+    for (std::size_t s = 0; s < nn::kernels::max_tile_lanes; ++s) {
+      const auto& source = s % 2 == 0 ? first : second;
+      const auto trace = source.trace(kRowOffset + s / 2);
+      traces.emplace_back(trace.begin(), trace.end());
+    }
+    for (dsp::feature_pipeline_config config : configs) {
+      config.groups_per_quadrature = sh.groups;
+      const auto pipeline = dsp::feature_pipeline::fit(train, config);
+      const auto spec = pipeline.tile_spec();
+      const std::string where =
+          "n " + std::to_string(sh.n) + " G " + std::to_string(sh.groups) +
+          (config.use_matched_filter ? " mf" : " no-mf") +
+          (config.normalization == dsp::norm_mode::zscore ? " zscore"
+                                                          : " pow2");
+      for (const tier& t : tiers) {
+        if (!t.available) continue;
+        for (const std::size_t lanes : lane_counts) {
+          expect_tile_matches(
+              pipeline, traces, sh.n, lanes,
+              [&](const float* const* pointers, float* plane,
+                  std::size_t stride) {
+                t.tile(pointers, lanes, sh.n, spec, plane, stride);
+              },
+              t.oracle, where + " " + t.name);
+        }
+      }
+      // The deployed path: batch_extractor on the dispatched tier against
+      // feature_pipeline::extract itself.
+      const dsp::batch_extractor extractor(pipeline);
+      for (const std::size_t lanes : lane_counts) {
+        expect_tile_matches(
+            pipeline, traces, sh.n, lanes,
+            [&](const float* const* pointers, float* plane,
+                std::size_t stride) {
+              extractor.extract_tile(pointers, lanes, sh.n, plane, stride);
+            },
+            [](const dsp::feature_pipeline& p, const float* trace,
+               std::size_t n, std::span<float> out) {
+              p.extract(std::span<const float>(trace, 2 * n), n, out);
+            },
+            where + " dispatched");
       }
     }
   }
