@@ -201,12 +201,6 @@ void BM_FcPlaneStudentLayer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(lanes));
 }
-BENCHMARK(BM_FcPlaneStudentLayer<nn::kernels::scalar::fc_plane>)
-    ->Name("BM_FcPlane_scalar_studentL1")->Arg(64)->UseRealTime();
-BENCHMARK(BM_FcPlaneStudentLayer<nn::kernels::avx2::fc_plane>)
-    ->Name("BM_FcPlane_avx2_studentL1")->Arg(64)->UseRealTime();
-BENCHMARK(BM_FcPlaneStudentLayer<nn::kernels::avx512::fc_plane>)
-    ->Name("BM_FcPlane_avx512_studentL1")->Arg(64)->UseRealTime();
 
 /// extract_tile per dispatch tier: the float front end (AVG ∥ MF → NORM)
 /// over N = 500 complex samples with `groups` AVG groups per quadrature
@@ -249,18 +243,20 @@ void BM_ExtractTileFloat(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(lanes * 2 * n));
 }
-BENCHMARK(BM_ExtractTileFloat<nn::kernels::scalar::extract_tile>)
-    ->Name("BM_ExtractTileFloat_scalar")
-    ->ArgNames({"groups", "lanes"})
-    ->ArgsProduct({{15, 100}, {1, 8, 64}});
-BENCHMARK(BM_ExtractTileFloat<nn::kernels::avx2::extract_tile>)
-    ->Name("BM_ExtractTileFloat_avx2")
-    ->ArgNames({"groups", "lanes"})
-    ->ArgsProduct({{15, 100}, {1, 8, 64}});
-BENCHMARK(BM_ExtractTileFloat<nn::kernels::avx512::extract_tile>)
-    ->Name("BM_ExtractTileFloat_avx512")
-    ->ArgNames({"groups", "lanes"})
-    ->ArgsProduct({{15, 100}, {1, 8, 64}});
+
+/// Registers one tier's BM_FcPlane_<tier>_studentL1 and
+/// BM_ExtractTileFloat_<tier> rows.
+template <auto FcPlane, auto ExtractTile>
+void register_tier_rows(const std::string& tier) {
+  benchmark::RegisterBenchmark(("BM_FcPlane_" + tier + "_studentL1").c_str(),
+                               BM_FcPlaneStudentLayer<FcPlane>)
+      ->Arg(64)
+      ->UseRealTime();
+  benchmark::RegisterBenchmark(("BM_ExtractTileFloat_" + tier).c_str(),
+                               BM_ExtractTileFloat<ExtractTile>)
+      ->ArgNames({"groups", "lanes"})
+      ->ArgsProduct({{15, 100}, {1, 8, 64}});
+}
 
 }  // namespace
 
@@ -268,18 +264,22 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   klinq::bench::add_klinq_context();
-  // Wide-tier fc_plane / extract_tile rows must not run on hosts lacking
-  // the tier (and on non-SIMD builds they alias scalar); skip instead of
-  // faulting or reporting duplicate numbers.
-  std::string filter;
-  if (!klinq::nn::kernels::avx2_available()) filter += "BM_.*_avx2[_/].*|";
-  if (!klinq::nn::kernels::avx512_available()) filter += "BM_.*_avx512[_/].*|";
-  if (!filter.empty()) {
-    filter.pop_back();  // trailing '|'
-    benchmark::RunSpecifiedBenchmarks(("-" + filter).c_str());
-  } else {
-    benchmark::RunSpecifiedBenchmarks();
+  // Wide-tier fc_plane / extract_tile rows exist only on hosts with the
+  // tier (on non-SIMD builds they would alias scalar): not registering them
+  // avoids faulting or reporting duplicate numbers, and leaves
+  // --benchmark_filter to select among the rest as given.
+  namespace kernels = klinq::nn::kernels;
+  register_tier_rows<kernels::scalar::fc_plane, kernels::scalar::extract_tile>(
+      "scalar");
+  if (kernels::avx2_available()) {
+    register_tier_rows<kernels::avx2::fc_plane, kernels::avx2::extract_tile>(
+        "avx2");
   }
+  if (kernels::avx512_available()) {
+    register_tier_rows<kernels::avx512::fc_plane,
+                       kernels::avx512::extract_tile>("avx512");
+  }
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 }

@@ -134,17 +134,15 @@ struct extract_spec {
 //             Per shot the result is BITWISE equal, within a tier, to that
 //             tier's grouped_mean_dot over each quadrature (MF partials
 //             summed as 0 + I + Q) followed by the NORM op per feature —
-//             i.e. to dsp::feature_pipeline::extract on the same tier. The
-//             SIMD tiers keep each shot's operation sequence and only
-//             interleave shots: a group's vector body runs per shot as in
-//             grouped_mean_dot, its tail samples (every sample of a group
-//             shorter than one vector) run shot-per-lane — 16 shots per
-//             zmm, 8 per ymm, loaded through in-register transposes — and
-//             the per-group horizontal reductions run transposed over the
-//             shots in grouped_mean_dot's pairing order. A lane block with
-//             too few live shots for its shape to pay for that runs shot by
-//             shot through the tier's grouped_mean_dot instead. The scalar
-//             tier runs grouped_mean_dot's scalar body shot by shot.
+//             i.e. to dsp::feature_pipeline::extract on the same tier. When
+//             every group is shorter than one vector (FNN-B's 5-sample
+//             groups), grouped_mean_dot runs each sample on its serial tail;
+//             the SIMD tiers then keep that operation sequence and only
+//             interleave shots: the samples run shot-per-lane — 16 shots per
+//             zmm, 8 per ymm, loaded through in-register transposes — so a
+//             scalar `t += p` or fmaf becomes one vector op for the block.
+//             Shapes with vector bodies, a lone live shot in a block, and
+//             the scalar tier run the tier's grouped_mean_dot shot by shot.
 // ---------------------------------------------------------------------------
 
 /// Plain-float scalar tier — every host runs this; bit-compatible with the

@@ -15,6 +15,35 @@ namespace klinq::nn::kernels {
 
 namespace {
 
+/// The AVG group lengths of an n-sample quadrature in order: group g spans
+/// [floor(g·n/groups), floor((g+1)·n/groups)). Boundaries advance by
+/// Bresenham carry instead of two integer divisions per group — at
+/// ~33-sample groups the divisions would cost more than the sums. Every
+/// kernel that walks groups takes its lengths from here, so a tile lane's
+/// groups are the single shot's.
+class group_walk {
+ public:
+  group_walk(std::size_t n, std::size_t groups) noexcept
+      : quotient_(n / groups), remainder_(n % groups), groups_(groups) {}
+
+  /// Length of the next group.
+  std::size_t next() noexcept {
+    std::size_t len = quotient_;
+    carry_ += remainder_;
+    if (carry_ >= groups_) {
+      carry_ -= groups_;
+      ++len;
+    }
+    return len;
+  }
+
+ private:
+  std::size_t quotient_;
+  std::size_t remainder_;
+  std::size_t groups_;
+  std::size_t carry_ = 0;
+};
+
 /// One shot of extract_tile through a tier's single-shot kernel: its
 /// grouped_mean_dot per quadrature (means written `stride` apart, straight
 /// into plane lane `out`), the MF partials summed as 0 + I + Q, then the
@@ -103,26 +132,16 @@ float grouped_mean_dot_strided(const float* values, const float* weights,
   // One pass serves both features. The group sums reduce per group (their
   // boundaries demand it), but the matched-filter accumulators persist
   // across groups — lanes for the vectorizable body, one scalar chain for
-  // the per-group tails — and reduce once at the end. Group boundaries
-  // (floor(g·n/groups)) advance by Bresenham carry instead of two integer
-  // divisions per group — at ~33-sample groups the divisions would cost
-  // more than the sums.
+  // the per-group tails — and reduce once at the end.
   float dot0 = 0.0f;
   float dot1 = 0.0f;
   float dot2 = 0.0f;
   float dot3 = 0.0f;
   float dot_tail = 0.0f;
-  const std::size_t quotient = n / groups;
-  const std::size_t remainder = n % groups;
+  group_walk walk(n, groups);
   std::size_t begin = 0;
-  std::size_t carry = 0;
   for (std::size_t g = 0; g < groups; ++g) {
-    std::size_t len = quotient;
-    carry += remainder;
-    if (carry >= groups) {
-      carry -= groups;
-      ++len;
-    }
+    const std::size_t len = walk.next();
     const float* p = values + begin;
     const float* w = weights != nullptr ? weights + begin : nullptr;
     begin += len;
@@ -307,17 +326,15 @@ struct mean_dot_state {
   float dot_tail;
 };
 
-/// One group's vector body: samples [0, len & ~7) in 16- then 8-sample
-/// chunks, summed into the returned 8-lane group accumulator, with the
-/// matched-filter FMA lanes *dot_acc0 / *dot_acc1 riding along when weights
-/// are present. `p`/`w` point at the group's first sample. The tail samples
-/// are left to the caller — per shot in grouped_mean_dot, shot-per-lane in
-/// extract_tile.
-__attribute__((target("avx2,fma"))) inline __m256 accumulate_body(
-    const float* p, const float* w, std::size_t len, __m256* dot_acc0,
-    __m256* dot_acc1) noexcept {
+/// Accumulates one group's vector sum into *acc and its tail samples into
+/// *tail; the matched-filter accumulators in *state ride along when
+/// weights are present. `p`/`w` point at the group's first sample.
+__attribute__((target("avx2,fma"))) inline void accumulate_group(
+    const float* p, const float* w, std::size_t len, mean_dot_state* state,
+    __m256* acc, float* tail) noexcept {
   __m256 sum0 = _mm256_setzero_ps();
   __m256 sum1 = _mm256_setzero_ps();
+  float t = 0.0f;
   std::size_t s = 0;
   if (w != nullptr) {
     for (; s + 16 <= len; s += 16) {
@@ -325,13 +342,20 @@ __attribute__((target("avx2,fma"))) inline __m256 accumulate_body(
       const __m256 v1 = _mm256_loadu_ps(p + s + 8);
       sum0 = _mm256_add_ps(sum0, v0);
       sum1 = _mm256_add_ps(sum1, v1);
-      *dot_acc0 = _mm256_fmadd_ps(v0, _mm256_loadu_ps(w + s), *dot_acc0);
-      *dot_acc1 = _mm256_fmadd_ps(v1, _mm256_loadu_ps(w + s + 8), *dot_acc1);
+      state->dot_acc0 =
+          _mm256_fmadd_ps(v0, _mm256_loadu_ps(w + s), state->dot_acc0);
+      state->dot_acc1 =
+          _mm256_fmadd_ps(v1, _mm256_loadu_ps(w + s + 8), state->dot_acc1);
     }
     for (; s + 8 <= len; s += 8) {
       const __m256 v = _mm256_loadu_ps(p + s);
       sum0 = _mm256_add_ps(sum0, v);
-      *dot_acc0 = _mm256_fmadd_ps(v, _mm256_loadu_ps(w + s), *dot_acc0);
+      state->dot_acc0 =
+          _mm256_fmadd_ps(v, _mm256_loadu_ps(w + s), state->dot_acc0);
+    }
+    for (; s < len; ++s) {
+      t += p[s];
+      state->dot_tail = std::fmaf(p[s], w[s], state->dot_tail);
     }
   } else {
     for (; s + 16 <= len; s += 16) {
@@ -341,27 +365,9 @@ __attribute__((target("avx2,fma"))) inline __m256 accumulate_body(
     for (; s + 8 <= len; s += 8) {
       sum0 = _mm256_add_ps(sum0, _mm256_loadu_ps(p + s));
     }
-  }
-  return _mm256_add_ps(sum0, sum1);
-}
-
-/// Accumulates one group's vector sum into *acc and its tail samples into
-/// *tail; the matched-filter accumulators in *state ride along when
-/// weights are present. `p`/`w` point at the group's first sample.
-__attribute__((target("avx2,fma"))) inline void accumulate_group(
-    const float* p, const float* w, std::size_t len, mean_dot_state* state,
-    __m256* acc, float* tail) noexcept {
-  *acc = accumulate_body(p, w, len, &state->dot_acc0, &state->dot_acc1);
-  float t = 0.0f;
-  std::size_t s = len & ~std::size_t{7};
-  if (w != nullptr) {
-    for (; s < len; ++s) {
-      t += p[s];
-      state->dot_tail = std::fmaf(p[s], w[s], state->dot_tail);
-    }
-  } else {
     for (; s < len; ++s) t += p[s];
   }
+  *acc = _mm256_add_ps(sum0, sum1);
   *tail = t;
 }
 
@@ -373,32 +379,18 @@ __attribute__((target("avx2,fma"))) float grouped_mean_dot_avx2(
   // matched-filter FMA accumulators, which persist across groups and reduce
   // once at the end; per-group tail samples feed scalar chains. Groups are
   // processed four at a time so their horizontal reductions share one hadd
-  // tree and one vector divide, and group boundaries advance by Bresenham
-  // carry (floor(g·n/groups) without per-group integer division). Means
-  // land `out_stride` apart (1 for the single shot, the plane stride for a
-  // lane of extract_tile).
+  // tree and one vector divide. Means land `out_stride` apart (1 for the
+  // single shot, the plane stride for a lane of extract_tile).
   mean_dot_state state{_mm256_setzero_ps(), _mm256_setzero_ps(), 0.0f};
-  const std::size_t quotient = n / groups;
-  const std::size_t remainder = n % groups;
+  group_walk walk(n, groups);
   std::size_t begin = 0;
-  std::size_t carry = 0;
-  const auto next_len = [&]() noexcept {
-    std::size_t len = quotient;
-    carry += remainder;
-    if (carry >= groups) {
-      carry -= groups;
-      ++len;
-    }
-    return len;
-  };
-
   std::size_t g = 0;
   for (; g + 4 <= groups; g += 4) {
     __m256 acc[4];
     alignas(16) float tails[4];
     alignas(16) float lens[4];
     for (std::size_t k = 0; k < 4; ++k) {
-      const std::size_t len = next_len();
+      const std::size_t len = walk.next();
       accumulate_group(values + begin,
                        weights != nullptr ? weights + begin : nullptr, len,
                        &state, &acc[k], &tails[k]);
@@ -417,7 +409,7 @@ __attribute__((target("avx2,fma"))) float grouped_mean_dot_avx2(
   for (; g < groups; ++g) {
     __m256 acc;
     float tail;
-    const std::size_t len = next_len();
+    const std::size_t len = walk.next();
     accumulate_group(values + begin,
                      weights != nullptr ? weights + begin : nullptr, len,
                      &state, &acc, &tail);
@@ -437,55 +429,6 @@ __attribute__((target("avx2,fma"))) float grouped_mean_dot_avx2(
 constexpr bool tails_only(std::size_t n, std::size_t groups,
                           std::size_t width) noexcept {
   return (n + groups - 1) / groups < width;
-}
-
-/// Fewest live shots for which a shot-per-lane block of `width` lanes beats
-/// running them one by one through the tier's grouped_mean_dot. With tails
-/// only, each shot's serial tail chain becomes one vector op per sample and
-/// the block pays from two shots on. With vector bodies (FNN-A) the bodies
-/// stay per shot and only tails, reductions and divides are shared, whose
-/// cost is per block: that pays only in a nearly full block.
-constexpr std::size_t min_block_shots(bool tails_only,
-                                      std::size_t width) noexcept {
-  return tails_only ? 2 : width - width / 4;
-}
-
-/// reduce_lanes over eight shots at once: lane l of the result is
-/// reduce_lanes(acc[l]), bitwise — the same pairs added in the same order,
-/// on transposed partial sums instead of one tree per shot.
-__attribute__((target("avx2,fma"))) inline __m256 reduce_lanes_x8(
-    const __m256* acc) {
-  __m256 quad[4];  // [shot 2k | shot 2k+1], a[i] + a[i + 4]
-  for (std::size_t k = 0; k < 4; ++k) {
-    quad[k] = _mm256_add_ps(
-        _mm256_permute2f128_ps(acc[2 * k], acc[2 * k + 1], 0x20),
-        _mm256_permute2f128_ps(acc[2 * k], acc[2 * k + 1], 0x31));
-  }
-  // quad[0] + quad[2] and quad[1] + quad[3], per shot.
-  const __m256 pairs01 = _mm256_add_ps(
-      _mm256_shuffle_ps(quad[0], quad[1], _MM_SHUFFLE(1, 0, 1, 0)),
-      _mm256_shuffle_ps(quad[0], quad[1], _MM_SHUFFLE(3, 2, 3, 2)));
-  const __m256 pairs23 = _mm256_add_ps(
-      _mm256_shuffle_ps(quad[2], quad[3], _MM_SHUFFLE(1, 0, 1, 0)),
-      _mm256_shuffle_ps(quad[2], quad[3], _MM_SHUFFLE(3, 2, 3, 2)));
-  // pair[0] + pair[1]; element 4h + e then holds shot h + 2e.
-  const __m256 one = _mm256_add_ps(
-      _mm256_shuffle_ps(pairs01, pairs23, _MM_SHUFFLE(2, 0, 2, 0)),
-      _mm256_shuffle_ps(pairs01, pairs23, _MM_SHUFFLE(3, 1, 3, 1)));
-  return _mm256_permutevar8x32_ps(one,
-                                  _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
-}
-
-/// reduce_four over eight shots: lane l is shot l's sum through the same
-/// hadd tree, fed four shots instead of four groups.
-__attribute__((target("avx2,fma"))) inline __m256 reduce_four_x8(
-    const __m256* acc) {
-  const __m256 first = _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]),
-                                      _mm256_hadd_ps(acc[2], acc[3]));
-  const __m256 second = _mm256_hadd_ps(_mm256_hadd_ps(acc[4], acc[5]),
-                                       _mm256_hadd_ps(acc[6], acc[7]));
-  return _mm256_add_ps(_mm256_permute2f128_ps(first, second, 0x20),
-                       _mm256_permute2f128_ps(first, second, 0x31));
 }
 
 /// In-register 8x8 transpose: rows[j][l] <- rows[l][j].
@@ -558,20 +501,9 @@ __attribute__((target("avx2,fma"))) inline __m256 stream_quadrature8(
     const float* const* shot, std::size_t n, std::size_t groups,
     const float* w, std::size_t first, const block_out8& dst) {
   const __m256 zero = _mm256_setzero_ps();
-  const std::size_t quotient = n / groups;
-  const std::size_t remainder = n % groups;
-  std::size_t carry = 0;
-  const auto next_len = [&]() noexcept {
-    std::size_t len = quotient;
-    carry += remainder;
-    if (carry >= groups) {
-      carry -= groups;
-      ++len;
-    }
-    return len;
-  };
+  group_walk walk(n, groups);
   std::size_t g = 0;
-  std::size_t len = next_len();
+  std::size_t len = walk.next();
   std::size_t end = len;
   __m256 t = zero;
   __m256 dot_tail = zero;
@@ -592,7 +524,7 @@ __attribute__((target("avx2,fma"))) inline __m256 stream_quadrature8(
                                      _mm256_set1_ps(static_cast<float>(len))));
         t = zero;
         if (++g < groups) {
-          len = next_len();
+          len = walk.next();
           end += len;
         }
       }
@@ -601,95 +533,22 @@ __attribute__((target("avx2,fma"))) inline __m256 stream_quadrature8(
   return _mm256_add_ps(zero, dot_tail);
 }
 
-/// One quadrature of eight shots, `active` of them live, with vector
-/// bodies: grouped_mean_dot_avx2's group walk with each body per shot
-/// (accumulate_body) and the tails shot-per-lane from a cached transposed
-/// block. Groups [0, fours) reduce through reduce_four's tree and the rest
-/// through reduce_lanes', as the single-shot kernel does; a group without a
-/// body reduces all-zero accumulators to +0 there, so it skips the
-/// reduction. Writes features [first, first + groups); returns the MF
-/// partial.
-__attribute__((target("avx2,fma"))) inline __m256 group_quadrature8(
-    const float* const* shot, std::size_t active, std::size_t n,
-    std::size_t groups, const float* w, std::size_t first,
-    const block_out8& dst) {
-  constexpr std::size_t kShots = 8;
-  const __m256 zero = _mm256_setzero_ps();
-  const std::size_t fours = groups - groups % 4;
-  __m256 dot0[kShots];
-  __m256 dot1[kShots];
-  for (std::size_t l = 0; l < kShots; ++l) dot0[l] = dot1[l] = zero;
-  __m256 dot_tail = zero;
-  __m256 rows[kShots];  // samples [rows_begin, rows_end), shot-per-lane
-  std::size_t rows_begin = 0;
-  std::size_t rows_end = 0;
-  const std::size_t quotient = n / groups;
-  const std::size_t remainder = n % groups;
-  std::size_t begin = 0;
-  std::size_t carry = 0;
-  for (std::size_t g = 0; g < groups; ++g) {
-    std::size_t len = quotient;
-    carry += remainder;
-    if (carry >= groups) {
-      carry -= groups;
-      ++len;
-    }
-    const std::size_t body = len & ~std::size_t{7};
-    __m256 sum = zero;
-    if (body != 0) {
-      // Lanes past the live shots sum nothing; they store +0.
-      __m256 acc[kShots];
-      for (std::size_t l = 0; l < kShots; ++l) {
-        acc[l] = l < active ? accumulate_body(
-                                  shot[l] + begin,
-                                  w != nullptr ? w + begin : nullptr, len,
-                                  &dot0[l], &dot1[l])
-                            : zero;
-      }
-      sum = g < fours ? reduce_four_x8(acc) : reduce_lanes_x8(acc);
-    }
-    __m256 t = zero;
-    for (std::size_t i = begin + body; i < begin + len; ++i) {
-      if (i >= rows_end) {
-        const std::size_t count = std::min(kShots, n - i);
-        load_rows8(shot, i, count, rows);
-        rows_begin = i;
-        rows_end = i + count;
-      }
-      const __m256 x = rows[i - rows_begin];
-      t = _mm256_add_ps(t, x);
-      if (w != nullptr) {
-        dot_tail = _mm256_fmadd_ps(x, _mm256_set1_ps(w[i]), dot_tail);
-      }
-    }
-    store_feature8(dst, first + g,
-                   _mm256_div_ps(_mm256_add_ps(sum, t),
-                                 _mm256_set1_ps(static_cast<float>(len))));
-    begin += len;
-  }
-  if (w == nullptr) return zero;
-  __m256 acc[kShots];
-  for (std::size_t l = 0; l < kShots; ++l) {
-    acc[l] = _mm256_add_ps(dot0[l], dot1[l]);
-  }
-  return _mm256_add_ps(reduce_lanes_x8(acc), dot_tail);
-}
-
 __attribute__((target("avx2,fma"))) void extract_tile_avx2(
     const float* const* traces, std::size_t lanes, std::size_t n,
     const extract_spec& spec, float* plane, std::size_t stride) noexcept {
-  // grouped_mean_dot_avx2 on eight shots at once: tail samples run
-  // shot-per-lane, so `t += p` and the MF tail fmaf become one vector op
-  // for eight shots, and vector bodies stay per shot.
+  // Shapes whose groups are all shorter than a vector run
+  // grouped_mean_dot_avx2 on eight shots at once: every sample is a tail
+  // sample, so `t += p` and the MF tail fmaf become one vector op for eight
+  // shots. Shapes with vector bodies, and a block with one live shot, run
+  // shot by shot through grouped_mean_dot_avx2 itself.
   constexpr std::size_t kShots = 8;
   const std::size_t groups = spec.groups;
   const bool streamed = tails_only(n, groups, kShots);
-  const std::size_t min_shots = min_block_shots(streamed, kShots);
   const float* envelope = spec.envelope;
   for (std::size_t base = 0; base < lanes; base += kShots) {
     const std::size_t active = std::min(kShots, lanes - base);
     float* out = plane + base;
-    if (active < min_shots) {
+    if (!streamed || active == 1) {
       for (std::size_t l = 0; l < active; ++l) {
         extract_shot<grouped_mean_dot_avx2>(traces[base + l], n, spec,
                                             out + l, stride);
@@ -711,11 +570,8 @@ __attribute__((target("avx2,fma"))) void extract_tile_avx2(
       for (std::size_t l = 0; l < kShots; ++l) {
         shot[l] = traces[base + (l < active ? l : 0)] + offset;
       }
-      const std::size_t first = quadrature * groups;
-      const __m256 partial =
-          streamed ? stream_quadrature8(shot, n, groups, w, first, dst)
-                   : group_quadrature8(shot, active, n, groups, w, first, dst);
-      mf = _mm256_add_ps(mf, partial);
+      mf = _mm256_add_ps(
+          mf, stream_quadrature8(shot, n, groups, w, quadrature * groups, dst));
     }
     if (envelope != nullptr) store_feature8(dst, 2 * groups, mf);
   }
@@ -887,13 +743,13 @@ struct mean_dot_state512 {
   float dot_tail;
 };
 
-/// One group's 16-lane vector body: samples [0, len & ~15) in 32- then
-/// 16-sample chunks (see the avx2 accumulate_body); tails are the caller's.
-__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline __m512
-accumulate_body512(const float* p, const float* w, std::size_t len,
-                   __m512* dot_acc0, __m512* dot_acc1) noexcept {
+__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline void
+accumulate_group512(const float* p, const float* w, std::size_t len,
+                    mean_dot_state512* state, __m512* acc,
+                    float* tail) noexcept {
   __m512 sum0 = _mm512_setzero_ps();
   __m512 sum1 = _mm512_setzero_ps();
+  float t = 0.0f;
   std::size_t s = 0;
   if (w != nullptr) {
     for (; s + 32 <= len; s += 32) {
@@ -901,13 +757,20 @@ accumulate_body512(const float* p, const float* w, std::size_t len,
       const __m512 v1 = _mm512_loadu_ps(p + s + 16);
       sum0 = _mm512_add_ps(sum0, v0);
       sum1 = _mm512_add_ps(sum1, v1);
-      *dot_acc0 = _mm512_fmadd_ps(v0, _mm512_loadu_ps(w + s), *dot_acc0);
-      *dot_acc1 = _mm512_fmadd_ps(v1, _mm512_loadu_ps(w + s + 16), *dot_acc1);
+      state->dot_acc0 =
+          _mm512_fmadd_ps(v0, _mm512_loadu_ps(w + s), state->dot_acc0);
+      state->dot_acc1 =
+          _mm512_fmadd_ps(v1, _mm512_loadu_ps(w + s + 16), state->dot_acc1);
     }
     for (; s + 16 <= len; s += 16) {
       const __m512 v = _mm512_loadu_ps(p + s);
       sum0 = _mm512_add_ps(sum0, v);
-      *dot_acc0 = _mm512_fmadd_ps(v, _mm512_loadu_ps(w + s), *dot_acc0);
+      state->dot_acc0 =
+          _mm512_fmadd_ps(v, _mm512_loadu_ps(w + s), state->dot_acc0);
+    }
+    for (; s < len; ++s) {
+      t += p[s];
+      state->dot_tail = std::fmaf(p[s], w[s], state->dot_tail);
     }
   } else {
     for (; s + 32 <= len; s += 32) {
@@ -917,25 +780,9 @@ accumulate_body512(const float* p, const float* w, std::size_t len,
     for (; s + 16 <= len; s += 16) {
       sum0 = _mm512_add_ps(sum0, _mm512_loadu_ps(p + s));
     }
-  }
-  return _mm512_add_ps(sum0, sum1);
-}
-
-__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline void
-accumulate_group512(const float* p, const float* w, std::size_t len,
-                    mean_dot_state512* state, __m512* acc,
-                    float* tail) noexcept {
-  *acc = accumulate_body512(p, w, len, &state->dot_acc0, &state->dot_acc1);
-  float t = 0.0f;
-  std::size_t s = len & ~std::size_t{15};
-  if (w != nullptr) {
-    for (; s < len; ++s) {
-      t += p[s];
-      state->dot_tail = std::fmaf(p[s], w[s], state->dot_tail);
-    }
-  } else {
     for (; s < len; ++s) t += p[s];
   }
+  *acc = _mm512_add_ps(sum0, sum1);
   *tail = t;
 }
 
@@ -946,19 +793,12 @@ grouped_mean_dot_avx512(const float* values, const float* weights,
   // 16-lane fused pass, same structure as the avx2 tier: per group one
   // vector loop feeds both the group-sum accumulator (reduced per group)
   // and the matched-filter FMA accumulators (persist across groups, reduced
-  // once). Group boundaries advance by the same Bresenham carry.
+  // once).
   mean_dot_state512 state{_mm512_setzero_ps(), _mm512_setzero_ps(), 0.0f};
-  const std::size_t quotient = n / groups;
-  const std::size_t remainder = n % groups;
+  group_walk walk(n, groups);
   std::size_t begin = 0;
-  std::size_t carry = 0;
   for (std::size_t g = 0; g < groups; ++g) {
-    std::size_t len = quotient;
-    carry += remainder;
-    if (carry >= groups) {
-      carry -= groups;
-      ++len;
-    }
+    const std::size_t len = walk.next();
     __m512 acc;
     float tail;
     accumulate_group512(values + begin,
@@ -973,43 +813,6 @@ grouped_mean_dot_avx512(const float* values, const float* weights,
 }
 
 // --- extract_tile, avx512: sixteen shots per zmm ---------------------------
-
-/// reduce_lanes512 over sixteen shots at once: lane l of the result is
-/// reduce_lanes512(acc[l]), bitwise — the same pairs added in the same
-/// order, on transposed partial sums instead of one tree per shot.
-__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline __m512
-reduce_lanes512_x16(const __m512* acc) {
-  __m512 half[8];  // [shot 2k | shot 2k+1], a[i] + a[i + 8]
-  for (std::size_t k = 0; k < 8; ++k) {
-    half[k] = _mm512_add_ps(
-        _mm512_shuffle_f32x4(acc[2 * k], acc[2 * k + 1],
-                             _MM_SHUFFLE(1, 0, 1, 0)),
-        _mm512_shuffle_f32x4(acc[2 * k], acc[2 * k + 1],
-                             _MM_SHUFFLE(3, 2, 3, 2)));
-  }
-  __m512 quad[4];  // shots 4k..4k+3 in 128-bit lanes, h[i] + h[i + 4]
-  for (std::size_t k = 0; k < 4; ++k) {
-    quad[k] = _mm512_add_ps(
-        _mm512_shuffle_f32x4(half[2 * k], half[2 * k + 1],
-                             _MM_SHUFFLE(2, 0, 2, 0)),
-        _mm512_shuffle_f32x4(half[2 * k], half[2 * k + 1],
-                             _MM_SHUFFLE(3, 1, 3, 1)));
-  }
-  // quad[0] + quad[2] and quad[1] + quad[3], per shot.
-  const __m512 pairs01 = _mm512_add_ps(
-      _mm512_shuffle_ps(quad[0], quad[1], _MM_SHUFFLE(1, 0, 1, 0)),
-      _mm512_shuffle_ps(quad[0], quad[1], _MM_SHUFFLE(3, 2, 3, 2)));
-  const __m512 pairs23 = _mm512_add_ps(
-      _mm512_shuffle_ps(quad[2], quad[3], _MM_SHUFFLE(1, 0, 1, 0)),
-      _mm512_shuffle_ps(quad[2], quad[3], _MM_SHUFFLE(3, 2, 3, 2)));
-  // pair[0] + pair[1]; element 4h + e then holds shot h + 4e.
-  const __m512 one = _mm512_add_ps(
-      _mm512_shuffle_ps(pairs01, pairs23, _MM_SHUFFLE(2, 0, 2, 0)),
-      _mm512_shuffle_ps(pairs01, pairs23, _MM_SHUFFLE(3, 1, 3, 1)));
-  return _mm512_permutexvar_ps(
-      _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15),
-      one);
-}
 
 /// In-register 16x16 transpose: rows[j][l] <- rows[l][j].
 __attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline void
@@ -1087,20 +890,9 @@ stream_quadrature16(const float* const* shot, std::size_t n,
                     std::size_t groups, const float* w, std::size_t first,
                     const block_out16& dst) {
   const __m512 zero = _mm512_setzero_ps();
-  const std::size_t quotient = n / groups;
-  const std::size_t remainder = n % groups;
-  std::size_t carry = 0;
-  const auto next_len = [&]() noexcept {
-    std::size_t len = quotient;
-    carry += remainder;
-    if (carry >= groups) {
-      carry -= groups;
-      ++len;
-    }
-    return len;
-  };
+  group_walk walk(n, groups);
   std::size_t g = 0;
-  std::size_t len = next_len();
+  std::size_t len = walk.next();
   std::size_t end = len;
   __m512 t = zero;
   __m512 dot_tail = zero;
@@ -1121,80 +913,13 @@ stream_quadrature16(const float* const* shot, std::size_t n,
                                       _mm512_set1_ps(static_cast<float>(len))));
         t = zero;
         if (++g < groups) {
-          len = next_len();
+          len = walk.next();
           end += len;
         }
       }
     }
   }
   return _mm512_add_ps(zero, dot_tail);
-}
-
-/// group_quadrature8 at sixteen shots, every group reduced through
-/// reduce_lanes512's tree.
-__attribute__((target("avx512f,avx512bw,avx512dq,fma"))) inline __m512
-group_quadrature16(const float* const* shot, std::size_t active,
-                   std::size_t n, std::size_t groups, const float* w,
-                   std::size_t first, const block_out16& dst) {
-  constexpr std::size_t kShots = 16;
-  const __m512 zero = _mm512_setzero_ps();
-  __m512 dot0[kShots];
-  __m512 dot1[kShots];
-  for (std::size_t l = 0; l < kShots; ++l) dot0[l] = dot1[l] = zero;
-  __m512 dot_tail = zero;
-  __m512 rows[kShots];  // samples [rows_begin, rows_end), shot-per-lane
-  std::size_t rows_begin = 0;
-  std::size_t rows_end = 0;
-  const std::size_t quotient = n / groups;
-  const std::size_t remainder = n % groups;
-  std::size_t begin = 0;
-  std::size_t carry = 0;
-  for (std::size_t g = 0; g < groups; ++g) {
-    std::size_t len = quotient;
-    carry += remainder;
-    if (carry >= groups) {
-      carry -= groups;
-      ++len;
-    }
-    const std::size_t body = len & ~std::size_t{15};
-    __m512 sum = zero;
-    if (body != 0) {
-      // Lanes past the live shots sum nothing; they store +0.
-      __m512 acc[kShots];
-      for (std::size_t l = 0; l < kShots; ++l) {
-        acc[l] = l < active ? accumulate_body512(
-                                  shot[l] + begin,
-                                  w != nullptr ? w + begin : nullptr, len,
-                                  &dot0[l], &dot1[l])
-                            : zero;
-      }
-      sum = reduce_lanes512_x16(acc);
-    }
-    __m512 t = zero;
-    for (std::size_t i = begin + body; i < begin + len; ++i) {
-      if (i >= rows_end) {
-        const std::size_t count = std::min(kShots, n - i);
-        load_rows16(shot, i, count, rows);
-        rows_begin = i;
-        rows_end = i + count;
-      }
-      const __m512 x = rows[i - rows_begin];
-      t = _mm512_add_ps(t, x);
-      if (w != nullptr) {
-        dot_tail = _mm512_fmadd_ps(x, _mm512_set1_ps(w[i]), dot_tail);
-      }
-    }
-    store_feature16(dst, first + g,
-                    _mm512_div_ps(_mm512_add_ps(sum, t),
-                                  _mm512_set1_ps(static_cast<float>(len))));
-    begin += len;
-  }
-  if (w == nullptr) return zero;
-  __m512 acc[kShots];
-  for (std::size_t l = 0; l < kShots; ++l) {
-    acc[l] = _mm512_add_ps(dot0[l], dot1[l]);
-  }
-  return _mm512_add_ps(reduce_lanes512_x16(acc), dot_tail);
 }
 
 __attribute__((target("avx512f,avx512bw,avx512dq,fma"))) void
@@ -1206,13 +931,12 @@ extract_tile_avx512(const float* const* traces, std::size_t lanes,
   const std::size_t groups = spec.groups;
   const std::size_t padded = padded_lanes(lanes);
   const bool streamed = tails_only(n, groups, kShots);
-  const std::size_t min_shots = min_block_shots(streamed, kShots);
   const float* envelope = spec.envelope;
   for (std::size_t base = 0; base < padded; base += kShots) {
     const std::size_t active = std::min(kShots, lanes - base);
     const std::size_t block = std::min(kShots, padded - base);
     float* out = plane + base;
-    if (active < min_shots) {
+    if (!streamed || active == 1) {
       for (std::size_t l = 0; l < active; ++l) {
         extract_shot<grouped_mean_dot_avx512>(traces[base + l], n, spec,
                                               out + l, stride);
@@ -1232,12 +956,8 @@ extract_tile_avx512(const float* const* traces, std::size_t lanes,
       for (std::size_t l = 0; l < kShots; ++l) {
         shot[l] = traces[base + (l < active ? l : 0)] + offset;
       }
-      const std::size_t first = quadrature * groups;
-      const __m512 partial =
-          streamed
-              ? stream_quadrature16(shot, n, groups, w, first, dst)
-              : group_quadrature16(shot, active, n, groups, w, first, dst);
-      mf = _mm512_add_ps(mf, partial);
+      mf = _mm512_add_ps(mf, stream_quadrature16(shot, n, groups, w,
+                                                 quadrature * groups, dst));
     }
     if (envelope != nullptr) store_feature16(dst, 2 * groups, mf);
   }
