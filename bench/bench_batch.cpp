@@ -174,8 +174,8 @@ BENCHMARK(BM_NnKernelsGemmNtStudentLayer)
 /// cross-request lane packer) run per layer. Unlike the gemm rows above,
 /// the lane dimension is the vector axis, so the avx512 rows show the
 /// 16-lane tier's headroom directly.
-template <auto FcPlane>
-void BM_FcPlaneStudentLayer(benchmark::State& state) {
+void BM_FcPlaneStudentLayer(benchmark::State& state,
+                            const nn::kernels::kernel_table* tier) {
   constexpr std::size_t stride = nn::kernels::max_tile_lanes;
   const auto lanes = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t in_dim = 31;
@@ -193,8 +193,8 @@ void BM_FcPlaneStudentLayer(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    FcPlane(weights.data(), bias.data(), out_dim, in_dim, in_plane.data(),
-            lanes, stride, true, out_plane.data());
+    tier->fc_plane(weights.data(), bias.data(), out_dim, in_dim,
+                   in_plane.data(), lanes, stride, true, out_plane.data());
     benchmark::DoNotOptimize(out_plane.data());
     benchmark::ClobberMemory();
   }
@@ -208,8 +208,8 @@ void BM_FcPlaneStudentLayer(benchmark::State& state) {
 /// entirely in the shot-per-lane tail path) into a feature plane. Mirrors
 /// the fixed BM_FrontendTile rows in bench_fixed_kernels, so items/s compare
 /// across datapaths.
-template <auto ExtractTile>
-void BM_ExtractTileFloat(benchmark::State& state) {
+void BM_ExtractTileFloat(benchmark::State& state,
+                         const nn::kernels::kernel_table* tier) {
   constexpr std::size_t n = 500;
   const auto groups = static_cast<std::size_t>(state.range(0));
   const auto lanes = static_cast<std::size_t>(state.range(1));
@@ -236,7 +236,7 @@ void BM_ExtractTileFloat(benchmark::State& state) {
   constexpr std::size_t stride = nn::kernels::max_tile_lanes;
   std::vector<float> plane(width * stride);
   for (auto _ : state) {
-    ExtractTile(pointers.data(), lanes, n, spec, plane.data(), stride);
+    tier->extract_tile(pointers.data(), lanes, n, spec, plane.data(), stride);
     benchmark::DoNotOptimize(plane.data());
     benchmark::ClobberMemory();
   }
@@ -244,18 +244,25 @@ void BM_ExtractTileFloat(benchmark::State& state) {
                           static_cast<std::int64_t>(lanes * 2 * n));
 }
 
-/// Registers one tier's BM_FcPlane_<tier>_studentL1 and
-/// BM_ExtractTileFloat_<tier> rows.
-template <auto FcPlane, auto ExtractTile>
-void register_tier_rows(const std::string& tier) {
-  benchmark::RegisterBenchmark(("BM_FcPlane_" + tier + "_studentL1").c_str(),
-                               BM_FcPlaneStudentLayer<FcPlane>)
-      ->Arg(64)
-      ->UseRealTime();
-  benchmark::RegisterBenchmark(("BM_ExtractTileFloat_" + tier).c_str(),
-                               BM_ExtractTileFloat<ExtractTile>)
-      ->ArgNames({"groups", "lanes"})
-      ->ArgsProduct({{15, 100}, {1, 8, 64}});
+/// Registers BM_FcPlane_<tier>_studentL1 and BM_ExtractTileFloat_<tier>
+/// rows for every tier with a kernel table. A tier this build or CPU cannot
+/// run gets no rows, so --benchmark_filter selects among the rest as given.
+void register_tier_rows() {
+  for (const simd_tier tier :
+       {simd_tier::scalar64, simd_tier::avx2, simd_tier::avx512}) {
+    const nn::kernels::kernel_table* table = nn::kernels::kernels_for(tier);
+    if (table == nullptr) continue;
+    const std::string name =
+        tier == simd_tier::scalar64 ? "scalar" : simd_tier_name(tier);
+    benchmark::RegisterBenchmark(("BM_FcPlane_" + name + "_studentL1").c_str(),
+                                 BM_FcPlaneStudentLayer, table)
+        ->Arg(64)
+        ->UseRealTime();
+    benchmark::RegisterBenchmark(("BM_ExtractTileFloat_" + name).c_str(),
+                                 BM_ExtractTileFloat, table)
+        ->ArgNames({"groups", "lanes"})
+        ->ArgsProduct({{15, 100}, {1, 8, 64}});
+  }
 }
 
 }  // namespace
@@ -264,21 +271,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   klinq::bench::add_klinq_context();
-  // Wide-tier fc_plane / extract_tile rows exist only on hosts with the
-  // tier (on non-SIMD builds they would alias scalar): not registering them
-  // avoids faulting or reporting duplicate numbers, and leaves
-  // --benchmark_filter to select among the rest as given.
-  namespace kernels = klinq::nn::kernels;
-  register_tier_rows<kernels::scalar::fc_plane, kernels::scalar::extract_tile>(
-      "scalar");
-  if (kernels::avx2_available()) {
-    register_tier_rows<kernels::avx2::fc_plane, kernels::avx2::extract_tile>(
-        "avx2");
-  }
-  if (kernels::avx512_available()) {
-    register_tier_rows<kernels::avx512::fc_plane,
-                       kernels::avx512::extract_tile>("avx512");
-  }
+  register_tier_rows();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

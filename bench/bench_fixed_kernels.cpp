@@ -82,8 +82,9 @@ void BM_MacRowReference(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
-template <class Fixed, auto MacRow, bool InRange>
-void BM_MacRowKernel(benchmark::State& state) {
+template <class Fixed, bool InRange>
+void BM_MacRowKernel(benchmark::State& state,
+                     const kernels::kernel_table* tier) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto weights = bench_weights<Fixed, InRange>(n, 1);
   const auto inputs = random_raws<Fixed>(n, 2);
@@ -91,15 +92,16 @@ void BM_MacRowKernel(benchmark::State& state) {
   const bool in_range = kernels::products_in_range(weights.data(), n, spec);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        MacRow(weights.data(), inputs.data(), n, 0, in_range, spec));
+        tier->mac_row(weights.data(), inputs.data(), n, 0, in_range, spec));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
 // --- mac_tile: one layer over a 64-shot tile -------------------------------
 
-template <class Fixed, auto MacTile, bool InRange>
-void BM_MacTileKernel(benchmark::State& state) {
+template <class Fixed, bool InRange>
+void BM_MacTileKernel(benchmark::State& state,
+                      const kernels::kernel_table* tier) {
   constexpr std::size_t stride = kernels::max_tile_lanes;
   const auto out_dim = static_cast<std::size_t>(state.range(0));
   const auto in_dim = static_cast<std::size_t>(state.range(1));
@@ -114,8 +116,9 @@ void BM_MacTileKernel(benchmark::State& state) {
         weights.data() + o * in_dim, in_dim, spec);
   }
   for (auto _ : state) {
-    MacTile(weights.data(), bias.data(), rows_in_range.data(), out_dim,
-            in_dim, plane.data(), stride, stride, true, out.data(), spec);
+    tier->mac_tile(weights.data(), bias.data(), rows_in_range.data(), out_dim,
+                   in_dim, plane.data(), stride, stride, true, out.data(),
+                   spec);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -142,8 +145,9 @@ void BM_QuantizeBlockReference(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
-template <class Fixed, auto QuantizeBlock>
-void BM_QuantizeBlockKernel(benchmark::State& state) {
+template <class Fixed>
+void BM_QuantizeBlockKernel(benchmark::State& state,
+                            const kernels::kernel_table* tier) {
   const auto n = static_cast<std::size_t>(state.range(0));
   xoshiro256 rng(6);
   std::vector<float> trace(n);
@@ -151,7 +155,7 @@ void BM_QuantizeBlockKernel(benchmark::State& state) {
   std::vector<std::int32_t> out(n);
   const auto spec = kernels::spec_of<Fixed>();
   for (auto _ : state) {
-    QuantizeBlock(trace.data(), n, out.data(), spec);
+    tier->quantize_block(trace.data(), n, out.data(), spec);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
@@ -162,8 +166,9 @@ void BM_QuantizeBlockKernel(benchmark::State& state) {
 /// Front end over N = 500 complex samples with `groups` AVG groups per
 /// quadrature and an MF envelope; NORM exponents mix both shift signs, as
 /// fitted front ends do.
-template <class Fixed, auto FrontendTile, bool InRange>
-void BM_FrontendTileKernel(benchmark::State& state) {
+template <class Fixed, bool InRange>
+void BM_FrontendTileKernel(benchmark::State& state,
+                           const kernels::kernel_table* tier) {
   constexpr std::size_t n = 500;
   const auto groups = static_cast<std::size_t>(state.range(0));
   const auto lanes = static_cast<std::size_t>(state.range(1));
@@ -205,8 +210,8 @@ void BM_FrontendTileKernel(benchmark::State& state) {
   std::vector<std::int32_t> plane(width * stride);
   const auto spec = kernels::spec_of<Fixed>();
   for (auto _ : state) {
-    FrontendTile(pointers.data(), lanes, frontend, plane.data(), stride,
-                 spec);
+    tier->frontend_tile(pointers.data(), lanes, frontend, plane.data(), stride,
+                        spec);
     benchmark::DoNotOptimize(plane.data());
     benchmark::ClobberMemory();
   }
@@ -214,48 +219,51 @@ void BM_FrontendTileKernel(benchmark::State& state) {
                           static_cast<std::int64_t>(lanes * 2 * n));
 }
 
-#define KLINQ_FRONTEND_BENCHES(Fixed, tag, tier)                              \
-  BENCHMARK(                                                                  \
-      (BM_FrontendTileKernel<Fixed, kernels::tier::frontend_tile, false>))    \
-      ->Name("BM_FrontendTile_" #tier "_" tag)                                \
-      ->ArgNames({"groups", "lanes"})                                         \
-      ->ArgsProduct({{15, 100}, {1, 8, 64}});                                 \
-  BENCHMARK(                                                                  \
-      (BM_FrontendTileKernel<Fixed, kernels::tier::frontend_tile, true>))     \
-      ->Name("BM_FrontendTileInRange_" #tier "_" tag)                         \
-      ->ArgNames({"groups", "lanes"})                                         \
-      ->ArgsProduct({{15, 100}, {1, 8, 64}})
-
-#define KLINQ_MAC_BENCHES(Fixed, tag, tier)                                   \
-  BENCHMARK((BM_MacRowKernel<Fixed, kernels::tier::mac_row, false>))          \
-      ->Name("BM_MacRow_" #tier "_" tag)->Arg(201);                           \
-  BENCHMARK((BM_MacRowKernel<Fixed, kernels::tier::mac_row, true>))           \
-      ->Name("BM_MacRowInRange_" #tier "_" tag)->Arg(201);                    \
-  BENCHMARK((BM_MacTileKernel<Fixed, kernels::tier::mac_tile, false>))        \
-      ->Name("BM_MacTile_" #tier "_" tag)->Args({16, 201});                   \
-  BENCHMARK((BM_MacTileKernel<Fixed, kernels::tier::mac_tile, true>))         \
-      ->Name("BM_MacTileInRange_" #tier "_" tag)->Args({16, 201})
-
-#define KLINQ_KERNEL_BENCHES(Fixed, tag)                                      \
-  BENCHMARK(BM_MacRowReference<Fixed>)->Name("BM_MacRow_int128ref_" tag)      \
-      ->Arg(201);                                                             \
-  KLINQ_MAC_BENCHES(Fixed, tag, scalar64);                                    \
-  KLINQ_MAC_BENCHES(Fixed, tag, avx2);                                        \
-  KLINQ_MAC_BENCHES(Fixed, tag, avx512);                                      \
-  BENCHMARK(BM_QuantizeBlockReference<Fixed>)                                 \
-      ->Name("BM_QuantizeBlock_ref_" tag)->Arg(1000);                         \
-  BENCHMARK((BM_QuantizeBlockKernel<Fixed, kernels::scalar64::quantize_block>))\
-      ->Name("BM_QuantizeBlock_scalar64_" tag)->Arg(1000);                    \
-  BENCHMARK((BM_QuantizeBlockKernel<Fixed, kernels::avx2::quantize_block>))   \
-      ->Name("BM_QuantizeBlock_avx2_" tag)->Arg(1000);                        \
-  BENCHMARK((BM_QuantizeBlockKernel<Fixed, kernels::avx512::quantize_block>)) \
-      ->Name("BM_QuantizeBlock_avx512_" tag)->Arg(1000);                    \
-  KLINQ_FRONTEND_BENCHES(Fixed, tag, scalar64);                               \
-  KLINQ_FRONTEND_BENCHES(Fixed, tag, avx2);                                   \
-  KLINQ_FRONTEND_BENCHES(Fixed, tag, avx512)
-
-KLINQ_KERNEL_BENCHES(q16_16, "q16.16");
-KLINQ_KERNEL_BENCHES(q8_8, "q8.8");
+/// One format's rows: the int128 references, then per tier the MAC,
+/// quantize and front-end rows (BM_<kernel>_<tier>_<tag>). A tier this
+/// build or CPU cannot run gets no rows, so --benchmark_filter selects
+/// among the rest as given.
+template <class Fixed>
+void register_format(const std::string& tag) {
+  const auto row = [&](const char* kernel, const char* tier) {
+    return "BM_" + std::string(kernel) + "_" + tier + "_" + tag;
+  };
+  benchmark::RegisterBenchmark(row("MacRow", "int128ref").c_str(),
+                               BM_MacRowReference<Fixed>)
+      ->Arg(201);
+  benchmark::RegisterBenchmark(row("QuantizeBlock", "ref").c_str(),
+                               BM_QuantizeBlockReference<Fixed>)
+      ->Arg(1000);
+  for (const simd_tier tier :
+       {simd_tier::scalar64, simd_tier::avx2, simd_tier::avx512}) {
+    const kernels::kernel_table* table = kernels::kernels_for(tier);
+    if (table == nullptr) continue;
+    const char* name = simd_tier_name(tier);
+    benchmark::RegisterBenchmark(row("MacRow", name).c_str(),
+                                 BM_MacRowKernel<Fixed, false>, table)
+        ->Arg(201);
+    benchmark::RegisterBenchmark(row("MacRowInRange", name).c_str(),
+                                 BM_MacRowKernel<Fixed, true>, table)
+        ->Arg(201);
+    benchmark::RegisterBenchmark(row("MacTile", name).c_str(),
+                                 BM_MacTileKernel<Fixed, false>, table)
+        ->Args({16, 201});
+    benchmark::RegisterBenchmark(row("MacTileInRange", name).c_str(),
+                                 BM_MacTileKernel<Fixed, true>, table)
+        ->Args({16, 201});
+    benchmark::RegisterBenchmark(row("QuantizeBlock", name).c_str(),
+                                 BM_QuantizeBlockKernel<Fixed>, table)
+        ->Arg(1000);
+    benchmark::RegisterBenchmark(row("FrontendTile", name).c_str(),
+                                 BM_FrontendTileKernel<Fixed, false>, table)
+        ->ArgNames({"groups", "lanes"})
+        ->ArgsProduct({{15, 100}, {1, 8, 64}});
+    benchmark::RegisterBenchmark(row("FrontendTileInRange", name).c_str(),
+                                 BM_FrontendTileKernel<Fixed, true>, table)
+        ->ArgNames({"groups", "lanes"})
+        ->ArgsProduct({{15, 100}, {1, 8, 64}});
+  }
+}
 
 }  // namespace
 
@@ -263,24 +271,14 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   klinq::bench::add_klinq_context();
-  benchmark::AddCustomContext(
-      "klinq_avx2_available",
-      klinq::fx::kernels::avx2_available() ? "true" : "false");
-  benchmark::AddCustomContext(
-      "klinq_avx512_available",
-      klinq::fx::kernels::avx512_available() ? "true" : "false");
-  // Wide-tier entry points must not run on hosts lacking the tier (and on
-  // non-SIMD builds they alias scalar64); skip them instead of faulting or
-  // reporting duplicate numbers.
-  std::string filter;
-  if (!klinq::fx::kernels::avx2_available()) filter += "BM_.*_avx2_.*|";
-  if (!klinq::fx::kernels::avx512_available()) filter += "BM_.*_avx512_.*|";
-  if (!filter.empty()) {
-    filter.pop_back();  // trailing '|'
-    benchmark::RunSpecifiedBenchmarks(("-" + filter).c_str());
-  } else {
-    benchmark::RunSpecifiedBenchmarks();
+  for (const simd_tier tier : {simd_tier::avx2, simd_tier::avx512}) {
+    benchmark::AddCustomContext(
+        std::string("klinq_") + simd_tier_name(tier) + "_available",
+        kernels::kernels_for(tier) != nullptr ? "true" : "false");
   }
+  register_format<q16_16>("q16.16");
+  register_format<q8_8>("q8.8");
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 }

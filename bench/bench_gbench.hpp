@@ -1,9 +1,8 @@
 // Shared main() for the Google-Benchmark benches: stamps the build type,
-// the resolved SIMD dispatch tiers (fixed + float, which differ under
-// KLINQ_DETERMINISTIC), the host's hardware concurrency and the
-// fused/unfused float-path flag into the benchmark context, so every
-// emitted BENCH json records how it was produced ("klinq_*" keys — see
-// README "Performance").
+// the resolved SIMD dispatch tier (both kernel families follow it) and the
+// host's hardware concurrency into the benchmark context, so every emitted
+// BENCH json records how it was produced ("klinq_*" keys — see README
+// "Performance").
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -25,8 +24,6 @@ inline void add_klinq_context() {
   benchmark::AddCustomContext("klinq_build_type", build_type());
   benchmark::AddCustomContext("klinq_simd_tier",
                               simd_tier_name(active_simd_tier()));
-  benchmark::AddCustomContext("klinq_float_tier",
-                              simd_tier_name(active_float_simd_tier()));
   benchmark::AddCustomContext(
       "klinq_hw_concurrency",
       std::to_string(std::thread::hardware_concurrency()));

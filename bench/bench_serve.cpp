@@ -563,13 +563,12 @@ int main(int argc, char** argv) {
     // --- report -----------------------------------------------------------
     const std::size_t workers = global_thread_pool().worker_count() + 1;
     const char* simd_tier = simd_tier_name(active_simd_tier());
-    const char* float_tier = simd_tier_name(active_float_simd_tier());
     std::printf(
         "\n%zu pool worker(s), hw_concurrency %u, %zu qubits x %zu rounds x "
-        "%zu shots (%s build, %s fixed kernels, %s float kernels, %llu "
-        "registry churn activations / %llu observed switches)\n",
+        "%zu shots (%s build, %s kernels, %llu registry churn activations / "
+        "%llu observed switches)\n",
         workers, std::thread::hardware_concurrency(), n_qubits, rounds, block,
-        KLINQ_BUILD_TYPE, simd_tier, float_tier,
+        KLINQ_BUILD_TYPE, simd_tier,
         static_cast<unsigned long long>(churn_activations),
         static_cast<unsigned long long>(churn_switches_observed));
     for (const run_record& r : records) {
@@ -604,7 +603,6 @@ int main(int argc, char** argv) {
                    "  \"bench\": \"bench_serve\",\n"
                    "  \"build_type\": \"%s\",\n"
                    "  \"simd_tier\": \"%s\",\n"
-                   "  \"float_tier\": \"%s\",\n"
                    "  \"hw_concurrency\": %u,\n"
                    "  \"pool_workers\": %zu,\n"
                    "  \"qubits\": %zu,\n"
@@ -615,7 +613,7 @@ int main(int argc, char** argv) {
                    "  \"registry_churn_activations\": %llu,\n"
                    "  \"registry_churn_switches_observed\": %llu,\n"
                    "  \"results\": [\n",
-                   KLINQ_BUILD_TYPE, simd_tier, float_tier,
+                   KLINQ_BUILD_TYPE, simd_tier,
                    std::thread::hardware_concurrency(), workers, n_qubits,
                    block, rounds, effective_shard_shots, small_shots,
                    static_cast<unsigned long long>(churn_activations),

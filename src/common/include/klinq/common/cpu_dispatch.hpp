@@ -1,10 +1,12 @@
 // Runtime CPU-feature dispatch for the vectorized kernel tiers.
 //
 // The fixed-point MAC kernels (klinq/fixed/fixed_kernels.hpp) and the float
-// plane kernels (klinq/nn/kernels.hpp) ship three implementations: a
-// branchless int64 scalar path that any host runs, and AVX2 / AVX-512 paths
-// compiled per-function (GCC/Clang target attributes) on x86-64. Which one
-// executes is decided once per process:
+// plane kernels (klinq/nn/kernels.hpp) ship three implementations each, one
+// kernel_table per tier: a scalar path that any host runs, and AVX2 /
+// AVX-512 paths compiled per-function (GCC/Clang target attributes) on
+// x86-64. A family's kernels_for(tier) is null where the first two gates
+// below rule the tier out; which tier both families' active_kernels() run
+// is decided once per process:
 //
 //   * compile time — KLINQ_HAVE_X86_SIMD gates whether the AVX2/AVX-512
 //     bodies exist at all (x86-64 GCC/Clang builds, unless
@@ -13,11 +15,12 @@
 //   * run time — cpuid (__builtin_cpu_supports) confirms the executing host
 //     actually has the requested extensions; builds with -march=native that
 //     already imply them (__AVX2__, __AVX512F__...) skip the cpuid,
-//   * override — KLINQ_SIMD=scalar pins the scalar tier for A/B measurement;
-//     KLINQ_SIMD=avx2 caps dispatch at the AVX2 tier (never upgrades to
-//     AVX-512); KLINQ_SIMD=avx512|auto picks the widest tier available and
-//     falls back avx512 → avx2 → scalar (requesting a tier the host lacks
-//     never faults).
+//   * override — KLINQ_SIMD=scalar pins the scalar tier, for A/B
+//     measurement and host-independent float results (the fixed tiers are
+//     bit-identical anyway); KLINQ_SIMD=avx2 caps dispatch at the AVX2 tier
+//     (never upgrades to AVX-512); KLINQ_SIMD=avx512|auto picks the widest
+//     tier available and falls back avx512 → avx2 → scalar (requesting a
+//     tier the host lacks never faults).
 //
 // Benches record the resolved tier in their emitted JSON so a committed
 // snapshot says which datapath produced it.
@@ -34,7 +37,7 @@ namespace klinq {
 
 /// Kernel implementation tiers, narrowest capability first.
 enum class simd_tier {
-  scalar64,  ///< branchless int64 scalar kernels (always available)
+  scalar64,  ///< int64 / plain-float scalar kernels (always available)
   avx2,      ///< 4-lane int64 / 8-lane float AVX2 kernels
   avx512,    ///< 8-lane int64 / 16-lane float AVX-512 (F+BW+DQ) kernels
 };
@@ -48,24 +51,17 @@ bool cpu_supports_avx2() noexcept;
 /// when KLINQ_DISABLE_SIMD compiled the SIMD paths out.
 bool cpu_supports_avx512() noexcept;
 
-/// The tier the dispatched kernels run at, resolved once per process from
-/// the compile gate, cpuid and the KLINQ_SIMD override.
+/// The tier both kernel families' active_kernels() run, resolved once per
+/// process from the compile gate, cpuid and the KLINQ_SIMD override.
 simd_tier active_simd_tier() noexcept;
 
 /// Stable lowercase name ("scalar64", "avx2", "avx512") for logs and BENCH
 /// json.
 const char* simd_tier_name(simd_tier tier) noexcept;
 
-/// True when KLINQ_DETERMINISTIC=1|true|on requests host-independent float
-/// results. The fixed-point kernels are bit-identical across tiers, so this
-/// only affects the float kernels (klinq/nn/kernels.hpp): FMA contraction
-/// and 8/16-lane reassociation make the AVX2/AVX-512 float tiers differ
-/// from scalar in the last ULPs, and pinning the scalar tier removes that
-/// variation.
-bool deterministic_float_mode() noexcept;
-
-/// The tier the dispatched FLOAT kernels run at: active_simd_tier() unless
-/// deterministic mode pins scalar64. Resolved once per process.
+/// The same as active_simd_tier(): both kernel families follow one tier.
+/// Kept only because the repository benchmark (perfbench/src/workload.cpp)
+/// stamps it into its report context.
 simd_tier active_float_simd_tier() noexcept;
 
 /// Always true: the fused per-tile extract→FC→logits pipeline is the only

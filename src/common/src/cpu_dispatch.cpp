@@ -58,19 +58,7 @@ simd_tier active_simd_tier() noexcept {
   return tier;
 }
 
-bool deterministic_float_mode() noexcept {
-  static const bool mode = [] {
-    const std::string v = env_string("KLINQ_DETERMINISTIC", "0");
-    return v == "1" || v == "true" || v == "on";
-  }();
-  return mode;
-}
-
-simd_tier active_float_simd_tier() noexcept {
-  static const simd_tier tier =
-      deterministic_float_mode() ? simd_tier::scalar64 : active_simd_tier();
-  return tier;
-}
+simd_tier active_float_simd_tier() noexcept { return active_simd_tier(); }
 
 bool fused_float_path_enabled() noexcept { return true; }
 

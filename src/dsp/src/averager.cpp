@@ -32,7 +32,8 @@ void interval_averager::apply(std::span<const float> trace,
       // Dispatched group sum: AVX2 8-lane adds where available; the scalar
       // tier keeps the seed's 4-lane accumulator order bit for bit.
       const std::size_t len = end - begin;
-      const float acc = nn::kernels::sum(trace.data() + in_base + begin, len);
+      const float acc = nn::kernels::active_kernels().sum(
+          trace.data() + in_base + begin, len);
       out[out_base + g] = acc / static_cast<float>(len);
     }
   }

@@ -88,7 +88,8 @@ void batch_extractor::extract_tile(const float* const* traces,
   KLINQ_REQUIRE(spec.envelope == nullptr ||
                     pipeline_->filter().input_width() == 2 * n,
                 "batch_extractor: matched-filter width mismatch");
-  nn::kernels::extract_tile(traces, lanes, n, spec, plane, stride);
+  nn::kernels::active_kernels().extract_tile(traces, lanes, n, spec, plane,
+                                             stride);
 }
 
 }  // namespace klinq::dsp

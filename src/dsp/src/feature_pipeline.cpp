@@ -52,7 +52,7 @@ void feature_pipeline::extract_unnormalized(std::span<const float> trace,
   float mf = 0.0f;
   for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
     const std::size_t base = quadrature * n;
-    mf += nn::kernels::grouped_mean_dot(
+    mf += nn::kernels::active_kernels().grouped_mean_dot(
         trace.data() + base, envelope != nullptr ? envelope + base : nullptr,
         n, groups, out.data() + quadrature * groups);
   }

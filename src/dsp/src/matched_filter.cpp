@@ -70,8 +70,9 @@ float matched_filter::apply(std::span<const float> trace) const {
                 "matched_filter::apply: trace width mismatch");
   // The 2N-wide MAC is the extraction hot spot; the dispatched kernel runs
   // it with AVX2 FMA where available (scalar tier = the seed's la::dot
-  // order, pinned by KLINQ_DETERMINISTIC).
-  return nn::kernels::dot(trace.data(), envelope_.data(), trace.size());
+  // order, pinned by KLINQ_SIMD=scalar).
+  return nn::kernels::active_kernels().dot(trace.data(), envelope_.data(),
+                                           trace.size());
 }
 
 std::vector<float> matched_filter::apply_all(

@@ -27,14 +27,10 @@
 // compute that fact once from the parameters and the kernels drop the
 // clamp for those rows. Results are bit-identical either way.
 //
-// Three implementation tiers share this contract: a scalar int64 path any
-// host runs, an AVX2 path (4 x int64 lanes) and an AVX-512 path (8 x int64
-// lanes), selected at runtime via klinq/common/cpu_dispatch.hpp. All are
-// bit-identical to the int128 reference by construction (integer arithmetic
-// is exact, so lane count and summation order don't matter);
-// tests/test_fixed_kernels.cpp proves it adversarially. Wide formats
-// (Q24.24) fail the int64 bound and stay on the fixed<I,F> reference path —
-// the hw:: layer gates on has_int64_fast_path.
+// The kernels come in three SIMD tiers, one kernel_table each (see the end
+// of this file), chosen at runtime via klinq/common/cpu_dispatch.hpp. Wide
+// formats (Q24.24) fail the int64 bound and stay on the fixed<I,F>
+// reference path — the hw:: layer gates on has_int64_fast_path.
 #pragma once
 
 #include <cstddef>
@@ -218,144 +214,72 @@ struct frontend_spec {
 };
 
 // ---------------------------------------------------------------------------
-// Kernel contract (identical across tiers):
+// Kernel tables
 //
-//   mac_row        one neuron's MAC: sum_i round_shift_clamp(w[i] * x[i])
-//                  over contiguous raw rows, plus bias_raw, saturated once.
-//                  Returns the raw register (no activation applied).
-//                  `in_range` must be products_in_range(weights, n, spec);
-//                  when set the products skip the clamp.
-//
-//   mac_tile       one layer over a shot tile. `weights` is (out_dim x
-//                  in_dim) row-major, `bias` and `rows_in_range` have
-//                  out_dim entries; rows_in_range[o] must be
-//                  products_in_range of row o. Planes are feature-major:
-//                  shot s of feature i lives at plane[i * stride + s];
-//                  lanes s in [0, tile) are written, lanes beyond `tile`
-//                  are neither read nor written. Requires
-//                  tile <= max_tile_lanes and tile <= stride. `relu`
-//                  applies the RTL's sign-bit ReLU to every output. Rows
-//                  run in blocks of 4 (each input lane is loaded once per
-//                  block); a block skips the per-product clamp only when
-//                  all of its rows are in range.
-//
-//   quantize_block float samples -> raw registers, bit-identical to
-//                  Fixed::from_double per element (round to nearest, ties
-//                  away from zero; rails saturate; NaN quantizes to 0).
-//
-//   frontend_tile  the whole pre-processing front end (paper Fig. 3) over a
-//                  tile of shots in one pass: traces[s] points at shot s's
-//                  2N floats. Each sample is quantized (quantize_raw), added
-//                  to its group's int64 sum and, with an MF envelope,
-//                  multiplied through the post-scaler into the MF sum; each
-//                  group's sum becomes its feature through average_raw, and
-//                  every feature goes through normalize_raw. MF products
-//                  skip the clamp when `frontend.taps_in_range` is set.
-//                  Feature c of shot s lands at plane[c * stride + s];
-//                  lanes s in [0, lanes) are written, nothing else. Requires
-//                  lanes <= stride. SIMD tiers hold one shot per int64 lane
-//                  and transpose the traces in registers; a SIMD block with
-//                  too few shots to fill it runs them one at a time, with
-//                  the shot's samples across the lanes instead.
+// Each tier is one kernel_table: a scalar int64 path any host runs, an AVX2
+// path (4 x int64 lanes) and an AVX-512 path (8 x int64 lanes, F+BW+DQ).
+// Every tier meets the contract stated on the members, and all are
+// bit-identical to each other and to the int128 reference (integer
+// arithmetic is exact, so lane count and summation order don't matter);
+// tests/test_fixed_kernels.cpp proves it adversarially over every table
+// kernels_for hands out.
 // ---------------------------------------------------------------------------
 
-/// Branchless int64 scalar tier — every host runs this.
-namespace scalar64 {
+struct kernel_table {
+  /// One neuron's MAC: sum_i round_shift_clamp(w[i] * x[i]) over contiguous
+  /// raw rows, plus bias_raw, saturated once. Returns the raw register (no
+  /// activation applied). `in_range` must be products_in_range(weights, n,
+  /// spec); when set the products skip the clamp.
+  std::int64_t (*mac_row)(const std::int32_t* weights,
+                          const std::int32_t* inputs, std::size_t n,
+                          std::int64_t bias_raw, bool in_range,
+                          const mac_spec& spec) noexcept;
 
-std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw, bool in_range,
-                     const mac_spec& spec) noexcept;
+  /// One layer over a shot tile. `weights` is (out_dim x in_dim) row-major,
+  /// `bias` and `rows_in_range` have out_dim entries; rows_in_range[o] must
+  /// be products_in_range of row o. Planes are feature-major: shot s of
+  /// feature i lives at plane[i * stride + s]; lanes s in [0, tile) are
+  /// written, lanes beyond `tile` are neither read nor written. Requires
+  /// tile <= max_tile_lanes and tile <= stride. `relu` applies the RTL's
+  /// sign-bit ReLU to every output. Rows run in blocks of 4 (each input lane
+  /// is loaded once per block); a block skips the per-product clamp only
+  /// when all of its rows are in range.
+  void (*mac_tile)(const std::int32_t* weights, const std::int32_t* bias,
+                   const std::uint8_t* rows_in_range, std::size_t out_dim,
+                   std::size_t in_dim, const std::int32_t* in_plane,
+                   std::size_t tile, std::size_t stride, bool relu,
+                   std::int32_t* out_plane, const mac_spec& spec) noexcept;
 
-void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              const std::uint8_t* rows_in_range, std::size_t out_dim,
-              std::size_t in_dim, const std::int32_t* in_plane,
-              std::size_t tile, std::size_t stride, bool relu,
-              std::int32_t* out_plane, const mac_spec& spec) noexcept;
+  /// Float samples -> raw registers, bit-identical to Fixed::from_double per
+  /// element (round to nearest, ties away from zero; rails saturate; NaN
+  /// quantizes to 0).
+  void (*quantize_block)(const float* values, std::size_t n,
+                         std::int32_t* out, const mac_spec& spec) noexcept;
 
-void quantize_block(const float* values, std::size_t n, std::int32_t* out,
-                    const mac_spec& spec) noexcept;
+  /// The whole pre-processing front end (paper Fig. 3) over a tile of shots
+  /// in one pass: traces[s] points at shot s's 2N floats. Each sample is
+  /// quantized (quantize_raw), added to its group's int64 sum and, with an
+  /// MF envelope, multiplied through the post-scaler into the MF sum; each
+  /// group's sum becomes its feature through average_raw, and every feature
+  /// goes through normalize_raw. MF products skip the clamp when
+  /// `frontend.taps_in_range` is set. Feature c of shot s lands at
+  /// plane[c * stride + s]; lanes s in [0, lanes) are written, nothing
+  /// else. Requires lanes <= stride. SIMD tiers hold one shot per int64 lane
+  /// and transpose the traces in registers; a SIMD block with too few shots
+  /// to fill it runs them one at a time, with the shot's samples across the
+  /// lanes instead.
+  void (*frontend_tile)(const float* const* traces, std::size_t lanes,
+                        const frontend_spec& frontend, std::int32_t* plane,
+                        std::size_t stride, const mac_spec& spec) noexcept;
+};
 
-void frontend_tile(const float* const* traces, std::size_t lanes,
-                   const frontend_spec& frontend, std::int32_t* plane,
-                   std::size_t stride, const mac_spec& spec) noexcept;
+/// The table of `tier`, or nullptr when this build (non-x86, or
+/// KLINQ_DISABLE_SIMD) or the executing CPU cannot run it.
+/// kernels_for(simd_tier::scalar64) is never null.
+const kernel_table* kernels_for(simd_tier tier) noexcept;
 
-}  // namespace scalar64
-
-/// AVX2 tier (4 x int64 lanes). Entry points exist on every build so the
-/// equality harness links unconditionally; on builds without the SIMD bodies
-/// (non-x86 or KLINQ_DISABLE_SIMD) they forward to scalar64. Call them
-/// directly only when avx2_available() — the dispatched entry points below
-/// handle that automatically.
-namespace avx2 {
-
-std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw, bool in_range,
-                     const mac_spec& spec) noexcept;
-
-void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              const std::uint8_t* rows_in_range, std::size_t out_dim,
-              std::size_t in_dim, const std::int32_t* in_plane,
-              std::size_t tile, std::size_t stride, bool relu,
-              std::int32_t* out_plane, const mac_spec& spec) noexcept;
-
-void quantize_block(const float* values, std::size_t n, std::int32_t* out,
-                    const mac_spec& spec) noexcept;
-
-void frontend_tile(const float* const* traces, std::size_t lanes,
-                   const frontend_spec& frontend, std::int32_t* plane,
-                   std::size_t stride, const mac_spec& spec) noexcept;
-
-}  // namespace avx2
-
-/// AVX-512 tier (8 x int64 lanes, F+BW+DQ subsets). Same linkage contract as
-/// avx2::: the entry points exist on every build (forwarding to scalar64
-/// without the SIMD bodies); call them directly only when
-/// avx512_available().
-namespace avx512 {
-
-std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw, bool in_range,
-                     const mac_spec& spec) noexcept;
-
-void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              const std::uint8_t* rows_in_range, std::size_t out_dim,
-              std::size_t in_dim, const std::int32_t* in_plane,
-              std::size_t tile, std::size_t stride, bool relu,
-              std::int32_t* out_plane, const mac_spec& spec) noexcept;
-
-void quantize_block(const float* values, std::size_t n, std::int32_t* out,
-                    const mac_spec& spec) noexcept;
-
-void frontend_tile(const float* const* traces, std::size_t lanes,
-                   const frontend_spec& frontend, std::int32_t* plane,
-                   std::size_t stride, const mac_spec& spec) noexcept;
-
-}  // namespace avx512
-
-/// True when the AVX2 tier was compiled in and the executing CPU supports it.
-bool avx2_available() noexcept;
-
-/// True when the AVX-512 tier was compiled in and the executing CPU supports
-/// it (F+BW+DQ).
-bool avx512_available() noexcept;
-
-// --- dispatched entry points (tier resolved once per process) --------------
-
-std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw, bool in_range,
-                     const mac_spec& spec) noexcept;
-
-void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              const std::uint8_t* rows_in_range, std::size_t out_dim,
-              std::size_t in_dim, const std::int32_t* in_plane,
-              std::size_t tile, std::size_t stride, bool relu,
-              std::int32_t* out_plane, const mac_spec& spec) noexcept;
-
-void quantize_block(const float* values, std::size_t n, std::int32_t* out,
-                    const mac_spec& spec) noexcept;
-
-void frontend_tile(const float* const* traces, std::size_t lanes,
-                   const frontend_spec& frontend, std::int32_t* plane,
-                   std::size_t stride, const mac_spec& spec) noexcept;
+/// The table of active_simd_tier(), resolved once per process: the kernels
+/// the hw:: datapath runs.
+const kernel_table& active_kernels() noexcept;
 
 }  // namespace klinq::fx::kernels

@@ -47,21 +47,15 @@ struct tile_args {
   bool relu;
 };
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // scalar64 tier
 // ---------------------------------------------------------------------------
 
-namespace scalar64 {
-
-namespace {
-
 template <bool Clamp>
-std::int64_t mac_row_impl(const std::int32_t* weights,
-                          const std::int32_t* inputs, std::size_t n,
-                          std::int64_t bias_raw,
-                          const mac_spec& spec) noexcept {
+std::int64_t mac_row_scalar64(const std::int32_t* weights,
+                              const std::int32_t* inputs, std::size_t n,
+                              std::int64_t bias_raw,
+                              const mac_spec& spec) noexcept {
   std::int64_t acc = bias_raw;
   for (std::size_t i = 0; i < n; ++i) {
     acc += post_scale<Clamp>(static_cast<std::int64_t>(weights[i]) * inputs[i],
@@ -114,9 +108,9 @@ void mac_rows(const std::int32_t* weights, const std::int32_t* bias,
 }
 
 template <bool ClampTaps>
-void frontend_tile_impl(const float* const* traces, std::size_t lanes,
-                        const frontend_spec& frontend, std::int32_t* plane,
-                        std::size_t stride, const mac_spec& spec) noexcept {
+void frontend_tile_scalar64(const float* const* traces, std::size_t lanes,
+                            const frontend_spec& frontend, std::int32_t* plane,
+                            std::size_t stride, const mac_spec& spec) noexcept {
   const std::size_t n = frontend.samples;
   const std::size_t groups = frontend.groups;
   const std::int32_t* envelope = frontend.envelope;
@@ -151,57 +145,32 @@ void frontend_tile_impl(const float* const* traces, std::size_t lanes,
   }
 }
 
-}  // namespace
-
-std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw, bool in_range,
-                     const mac_spec& spec) noexcept {
-  return in_range ? mac_row_impl<false>(weights, inputs, n, bias_raw, spec)
-                  : mac_row_impl<true>(weights, inputs, n, bias_raw, spec);
-}
-
-void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              const std::uint8_t* rows_in_range, std::size_t out_dim,
-              std::size_t in_dim, const std::int32_t* in_plane,
-              std::size_t tile, std::size_t stride, bool relu,
-              std::int32_t* out_plane, const mac_spec& spec) noexcept {
-  const tile_args t{in_dim, in_plane, tile, stride, relu};
+void mac_tile_scalar64(const std::int32_t* weights, const std::int32_t* bias,
+                       const std::uint8_t* rows_in_range, std::size_t out_dim,
+                       const tile_args& t, std::int32_t* out_plane,
+                       const mac_spec& spec) noexcept {
   std::size_t row = 0;
   for (; row + kRowBlock <= out_dim; row += kRowBlock) {
-    mac_rows<kRowBlock>(weights + row * in_dim, bias + row,
+    mac_rows<kRowBlock>(weights + row * t.in_dim, bias + row,
                         block_in_range(rows_in_range + row, kRowBlock),
-                        out_plane + row * stride, t, spec);
+                        out_plane + row * t.stride, t, spec);
   }
   for (; row < out_dim; ++row) {
-    mac_rows<1>(weights + row * in_dim, bias + row, rows_in_range[row] != 0,
-                out_plane + row * stride, t, spec);
+    mac_rows<1>(weights + row * t.in_dim, bias + row, rows_in_range[row] != 0,
+                out_plane + row * t.stride, t, spec);
   }
 }
 
-void quantize_block(const float* values, std::size_t n, std::int32_t* out,
-                    const mac_spec& spec) noexcept {
+void quantize_block_scalar64(const float* values, std::size_t n,
+                             std::int32_t* out, const mac_spec& spec) noexcept {
   for (std::size_t i = 0; i < n; ++i) out[i] = quantize_raw(values[i], spec);
 }
-
-void frontend_tile(const float* const* traces, std::size_t lanes,
-                   const frontend_spec& frontend, std::int32_t* plane,
-                   std::size_t stride, const mac_spec& spec) noexcept {
-  if (frontend.taps_in_range) {
-    frontend_tile_impl<false>(traces, lanes, frontend, plane, stride, spec);
-  } else {
-    frontend_tile_impl<true>(traces, lanes, frontend, plane, stride, spec);
-  }
-}
-
-}  // namespace scalar64
 
 // ---------------------------------------------------------------------------
 // avx2 tier
 // ---------------------------------------------------------------------------
 
 #if KLINQ_HAVE_X86_SIMD
-
-namespace {
 
 // Per-function target("avx2") keeps the rest of the library buildable
 // without -mavx2 while the runtime dispatcher guards execution via cpuid.
@@ -455,7 +424,7 @@ __attribute__((target("avx2"))) void quantize_block_avx2(
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
                      quantize_lanes(_mm_loadu_ps(values + i), k));
   }
-  if (i < n) scalar64::quantize_block(values + i, n - i, out + i, spec);
+  if (i < n) quantize_block_scalar64(values + i, n - i, out + i, spec);
 }
 
 /// NORM over 4 shot lanes (normalize_raw per lane), then stores the lanes
@@ -886,7 +855,7 @@ __attribute__((target("avx512f,avx512bw,avx512dq"))) void quantize_block_avx512(
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
                         _mm512_cvtepi64_epi32(raw));
   }
-  if (i < n) scalar64::quantize_block(values + i, n - i, out + i, spec);
+  if (i < n) quantize_block_scalar64(values + i, n - i, out + i, spec);
 }
 
 /// In-register 8x8 transpose: afterwards rows[j] holds element j of every
@@ -1156,220 +1125,87 @@ __attribute__((target("avx512f,avx512bw,avx512dq"))) void frontend_tile_avx512(
 #pragma GCC diagnostic pop
 #endif
 
-}  // namespace
+#endif  // KLINQ_HAVE_X86_SIMD
 
-namespace avx2 {
+// ---------------------------------------------------------------------------
+// Kernel tables
+// ---------------------------------------------------------------------------
 
-std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw, bool in_range,
-                     const mac_spec& spec) noexcept {
-  return in_range ? mac_row_avx2<false>(weights, inputs, n, bias_raw, spec)
-                  : mac_row_avx2<true>(weights, inputs, n, bias_raw, spec);
+/// The table's mac_row over a tier's two Clamp variants, picked by the row
+/// proof.
+template <auto Unclamped, auto Clamped>
+std::int64_t mac_row_entry(const std::int32_t* weights,
+                           const std::int32_t* inputs, std::size_t n,
+                           std::int64_t bias_raw, bool in_range,
+                           const mac_spec& spec) noexcept {
+  return in_range ? Unclamped(weights, inputs, n, bias_raw, spec)
+                  : Clamped(weights, inputs, n, bias_raw, spec);
 }
 
-void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              const std::uint8_t* rows_in_range, std::size_t out_dim,
-              std::size_t in_dim, const std::int32_t* in_plane,
-              std::size_t tile, std::size_t stride, bool relu,
-              std::int32_t* out_plane, const mac_spec& spec) noexcept {
-  mac_tile_avx2(weights, bias, rows_in_range, out_dim,
-                tile_args{in_dim, in_plane, tile, stride, relu}, out_plane,
-                spec);
+/// The table's mac_tile over a tier's row-block driver.
+template <auto MacTile>
+void mac_tile_entry(const std::int32_t* weights, const std::int32_t* bias,
+                    const std::uint8_t* rows_in_range, std::size_t out_dim,
+                    std::size_t in_dim, const std::int32_t* in_plane,
+                    std::size_t tile, std::size_t stride, bool relu,
+                    std::int32_t* out_plane, const mac_spec& spec) noexcept {
+  MacTile(weights, bias, rows_in_range, out_dim,
+          tile_args{in_dim, in_plane, tile, stride, relu}, out_plane, spec);
 }
 
-void quantize_block(const float* values, std::size_t n, std::int32_t* out,
-                    const mac_spec& spec) noexcept {
-  quantize_block_avx2(values, n, out, spec);
-}
-
-void frontend_tile(const float* const* traces, std::size_t lanes,
-                   const frontend_spec& frontend, std::int32_t* plane,
-                   std::size_t stride, const mac_spec& spec) noexcept {
+/// The table's frontend_tile over a tier's two ClampTaps variants, picked by
+/// the envelope's proof.
+template <auto Unclamped, auto Clamped>
+void frontend_tile_entry(const float* const* traces, std::size_t lanes,
+                         const frontend_spec& frontend, std::int32_t* plane,
+                         std::size_t stride, const mac_spec& spec) noexcept {
   if (frontend.taps_in_range) {
-    frontend_tile_avx2<false>(traces, lanes, frontend, plane, stride, spec);
+    Unclamped(traces, lanes, frontend, plane, stride, spec);
   } else {
-    frontend_tile_avx2<true>(traces, lanes, frontend, plane, stride, spec);
+    Clamped(traces, lanes, frontend, plane, stride, spec);
   }
 }
 
-}  // namespace avx2
+constexpr kernel_table kScalar64{
+    .mac_row = mac_row_entry<mac_row_scalar64<false>, mac_row_scalar64<true>>,
+    .mac_tile = mac_tile_entry<mac_tile_scalar64>,
+    .quantize_block = quantize_block_scalar64,
+    .frontend_tile = frontend_tile_entry<frontend_tile_scalar64<false>,
+                                         frontend_tile_scalar64<true>>};
 
-namespace avx512 {
+#if KLINQ_HAVE_X86_SIMD
 
-std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw, bool in_range,
-                     const mac_spec& spec) noexcept {
-  return in_range ? mac_row_avx512<false>(weights, inputs, n, bias_raw, spec)
-                  : mac_row_avx512<true>(weights, inputs, n, bias_raw, spec);
-}
+constexpr kernel_table kAvx2{
+    .mac_row = mac_row_entry<mac_row_avx2<false>, mac_row_avx2<true>>,
+    .mac_tile = mac_tile_entry<mac_tile_avx2>,
+    .quantize_block = quantize_block_avx2,
+    .frontend_tile = frontend_tile_entry<frontend_tile_avx2<false>,
+                                         frontend_tile_avx2<true>>};
 
-void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              const std::uint8_t* rows_in_range, std::size_t out_dim,
-              std::size_t in_dim, const std::int32_t* in_plane,
-              std::size_t tile, std::size_t stride, bool relu,
-              std::int32_t* out_plane, const mac_spec& spec) noexcept {
-  mac_tile_avx512(weights, bias, rows_in_range, out_dim,
-                  tile_args{in_dim, in_plane, tile, stride, relu}, out_plane,
-                  spec);
-}
-
-void quantize_block(const float* values, std::size_t n, std::int32_t* out,
-                    const mac_spec& spec) noexcept {
-  quantize_block_avx512(values, n, out, spec);
-}
-
-void frontend_tile(const float* const* traces, std::size_t lanes,
-                   const frontend_spec& frontend, std::int32_t* plane,
-                   std::size_t stride, const mac_spec& spec) noexcept {
-  if (frontend.taps_in_range) {
-    frontend_tile_avx512<false>(traces, lanes, frontend, plane, stride, spec);
-  } else {
-    frontend_tile_avx512<true>(traces, lanes, frontend, plane, stride, spec);
-  }
-}
-
-}  // namespace avx512
-
-#else  // !KLINQ_HAVE_X86_SIMD
-
-// Keep the avx2:: / avx512:: entry points linkable on builds without the
-// SIMD bodies; avx2_available() / avx512_available() report false, so the
-// harness skips rather than compares scalar against itself.
-namespace avx2 {
-
-std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw, bool in_range,
-                     const mac_spec& spec) noexcept {
-  return scalar64::mac_row(weights, inputs, n, bias_raw, in_range, spec);
-}
-
-void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              const std::uint8_t* rows_in_range, std::size_t out_dim,
-              std::size_t in_dim, const std::int32_t* in_plane,
-              std::size_t tile, std::size_t stride, bool relu,
-              std::int32_t* out_plane, const mac_spec& spec) noexcept {
-  scalar64::mac_tile(weights, bias, rows_in_range, out_dim, in_dim, in_plane,
-                     tile, stride, relu, out_plane, spec);
-}
-
-void quantize_block(const float* values, std::size_t n, std::int32_t* out,
-                    const mac_spec& spec) noexcept {
-  scalar64::quantize_block(values, n, out, spec);
-}
-
-void frontend_tile(const float* const* traces, std::size_t lanes,
-                   const frontend_spec& frontend, std::int32_t* plane,
-                   std::size_t stride, const mac_spec& spec) noexcept {
-  scalar64::frontend_tile(traces, lanes, frontend, plane, stride, spec);
-}
-
-}  // namespace avx2
-
-namespace avx512 {
-
-std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw, bool in_range,
-                     const mac_spec& spec) noexcept {
-  return scalar64::mac_row(weights, inputs, n, bias_raw, in_range, spec);
-}
-
-void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              const std::uint8_t* rows_in_range, std::size_t out_dim,
-              std::size_t in_dim, const std::int32_t* in_plane,
-              std::size_t tile, std::size_t stride, bool relu,
-              std::int32_t* out_plane, const mac_spec& spec) noexcept {
-  scalar64::mac_tile(weights, bias, rows_in_range, out_dim, in_dim, in_plane,
-                     tile, stride, relu, out_plane, spec);
-}
-
-void quantize_block(const float* values, std::size_t n, std::int32_t* out,
-                    const mac_spec& spec) noexcept {
-  scalar64::quantize_block(values, n, out, spec);
-}
-
-void frontend_tile(const float* const* traces, std::size_t lanes,
-                   const frontend_spec& frontend, std::int32_t* plane,
-                   std::size_t stride, const mac_spec& spec) noexcept {
-  scalar64::frontend_tile(traces, lanes, frontend, plane, stride, spec);
-}
-
-}  // namespace avx512
+constexpr kernel_table kAvx512{
+    .mac_row = mac_row_entry<mac_row_avx512<false>, mac_row_avx512<true>>,
+    .mac_tile = mac_tile_entry<mac_tile_avx512>,
+    .quantize_block = quantize_block_avx512,
+    .frontend_tile = frontend_tile_entry<frontend_tile_avx512<false>,
+                                         frontend_tile_avx512<true>>};
 
 #endif  // KLINQ_HAVE_X86_SIMD
 
-bool avx2_available() noexcept {
-  return KLINQ_HAVE_X86_SIMD != 0 && cpu_supports_avx2();
-}
-
-bool avx512_available() noexcept {
-  return KLINQ_HAVE_X86_SIMD != 0 && cpu_supports_avx512();
-}
-
-// ---------------------------------------------------------------------------
-// Dispatched entry points
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct kernel_table {
-  std::int64_t (*mac_row)(const std::int32_t*, const std::int32_t*,
-                          std::size_t, std::int64_t, bool,
-                          const mac_spec&) noexcept;
-  void (*mac_tile)(const std::int32_t*, const std::int32_t*,
-                   const std::uint8_t*, std::size_t, std::size_t,
-                   const std::int32_t*, std::size_t, std::size_t, bool,
-                   std::int32_t*, const mac_spec&) noexcept;
-  void (*quantize_block)(const float*, std::size_t, std::int32_t*,
-                         const mac_spec&) noexcept;
-  void (*frontend_tile)(const float* const*, std::size_t,
-                        const frontend_spec&, std::int32_t*, std::size_t,
-                        const mac_spec&) noexcept;
-};
-
-const kernel_table& active_table() noexcept {
-  static const kernel_table table = [] {
-    switch (active_simd_tier()) {
-      case simd_tier::avx512:
-        return kernel_table{avx512::mac_row, avx512::mac_tile,
-                            avx512::quantize_block, avx512::frontend_tile};
-      case simd_tier::avx2:
-        return kernel_table{avx2::mac_row, avx2::mac_tile,
-                            avx2::quantize_block, avx2::frontend_tile};
-      case simd_tier::scalar64:
-        break;
-    }
-    return kernel_table{scalar64::mac_row, scalar64::mac_tile,
-                        scalar64::quantize_block, scalar64::frontend_tile};
-  }();
-  return table;
-}
-
 }  // namespace
 
-std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
-                     std::size_t n, std::int64_t bias_raw, bool in_range,
-                     const mac_spec& spec) noexcept {
-  return active_table().mac_row(weights, inputs, n, bias_raw, in_range, spec);
+const kernel_table* kernels_for(simd_tier tier) noexcept {
+#if KLINQ_HAVE_X86_SIMD
+  if (tier == simd_tier::avx512) {
+    return cpu_supports_avx512() ? &kAvx512 : nullptr;
+  }
+  if (tier == simd_tier::avx2) return cpu_supports_avx2() ? &kAvx2 : nullptr;
+#endif
+  return tier == simd_tier::scalar64 ? &kScalar64 : nullptr;
 }
 
-void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
-              const std::uint8_t* rows_in_range, std::size_t out_dim,
-              std::size_t in_dim, const std::int32_t* in_plane,
-              std::size_t tile, std::size_t stride, bool relu,
-              std::int32_t* out_plane, const mac_spec& spec) noexcept {
-  active_table().mac_tile(weights, bias, rows_in_range, out_dim, in_dim,
-                          in_plane, tile, stride, relu, out_plane, spec);
-}
-
-void quantize_block(const float* values, std::size_t n, std::int32_t* out,
-                    const mac_spec& spec) noexcept {
-  active_table().quantize_block(values, n, out, spec);
-}
-
-void frontend_tile(const float* const* traces, std::size_t lanes,
-                   const frontend_spec& frontend, std::int32_t* plane,
-                   std::size_t stride, const mac_spec& spec) noexcept {
-  active_table().frontend_tile(traces, lanes, frontend, plane, stride, spec);
+const kernel_table& active_kernels() noexcept {
+  static const kernel_table& table = *kernels_for(active_simd_tier());
+  return table;
 }
 
 }  // namespace klinq::fx::kernels

@@ -131,8 +131,8 @@ class fixed_frontend {
   {
     KLINQ_REQUIRE(out.size() == trace.size(),
                   "fixed_frontend: quantize output width != trace width");
-    fx::kernels::quantize_block(trace.data(), trace.size(), out.data(),
-                                kSpec);
+    fx::kernels::active_kernels().quantize_block(trace.data(), trace.size(),
+                                                 out.data(), kSpec);
   }
 
   /// Runs AVG → NORM ∥ MF → CONCAT on a quantized trace of N complex
@@ -220,9 +220,9 @@ class fixed_frontend {
     requires(kernel_fast_path)
   {
     KLINQ_REQUIRE(lanes <= stride, "fixed_frontend: tile wider than stride");
-    fx::kernels::frontend_tile(traces, lanes,
-                               kernel_spec(samples_per_quadrature, spare),
-                               plane, stride, kSpec);
+    fx::kernels::active_kernels().frontend_tile(
+        traces, lanes, kernel_spec(samples_per_quadrature, spare), plane,
+        stride, kSpec);
   }
 
   /// extract() over an already-quantized raw register trace (e.g. from
@@ -257,8 +257,9 @@ class fixed_frontend {
     if (use_mf_) {
       const std::size_t c = 2 * groups_;
       const std::int64_t mf =
-          fx::kernels::mac_row(spec.envelope, trace.data(), trace.size(), 0,
-                               spec.taps_in_range, kSpec);
+          fx::kernels::active_kernels().mac_row(spec.envelope, trace.data(),
+                                                trace.size(), 0,
+                                                spec.taps_in_range, kSpec);
       out[c * out_stride] = static_cast<std::int32_t>(
           fx::kernels::normalize_raw(mf, spec.x_min[c], spec.shift[c], kSpec));
     }

@@ -228,7 +228,7 @@ class quantized_network {
       std::int32_t* next = planes[which];
       const bool relu = l.act == nn::activation::relu;
       for (std::size_t neuron = 0; neuron < l.out_dim; ++neuron) {
-        std::int64_t value = fx::kernels::mac_row(
+        std::int64_t value = fx::kernels::active_kernels().mac_row(
             l.weights_raw.data() + neuron * l.in_dim, current, l.in_dim,
             l.bias_raw[neuron], l.rows_in_range[neuron] != 0, kSpec);
         if (relu && value < 0) value = 0;
@@ -273,10 +273,10 @@ class quantized_network {
     int which = 0;
     for (const layer& l : layers_) {
       std::int32_t* next = planes[which];
-      fx::kernels::mac_tile(l.weights_raw.data(), l.bias_raw.data(),
-                            l.rows_in_range.data(), l.out_dim, l.in_dim,
-                            current, tile, kBatchTile,
-                            l.act == nn::activation::relu, next, kSpec);
+      fx::kernels::active_kernels().mac_tile(
+          l.weights_raw.data(), l.bias_raw.data(), l.rows_in_range.data(),
+          l.out_dim, l.in_dim, current, tile, kBatchTile,
+          l.act == nn::activation::relu, next, kSpec);
       current = next;
       which ^= 1;
     }

@@ -28,8 +28,8 @@
 // Unlike the fixed-point kernels, the float tiers are NOT bit-identical to
 // each other: FMA contracts the multiply-add rounding and the wider lanes
 // reassociate reductions. Which tier runs is resolved once per process from
-// active_float_simd_tier() — KLINQ_SIMD=scalar or KLINQ_DETERMINISTIC=1 pin
-// the scalar tier for host-independent results (see README "Determinism").
+// active_simd_tier(), as for the fixed kernels — KLINQ_SIMD=scalar pins the
+// scalar tier for host-independent results (see README "Determinism").
 //
 // The tile kernels operate on feature-major planes exactly like the fixed
 // datapath: feature i of lane (shot) s lives at plane[i * stride + s].
@@ -100,160 +100,86 @@ struct extract_spec {
 };
 
 // ---------------------------------------------------------------------------
-// Kernel contract (identical across tiers):
+// Kernel tables
 //
-//   dot       inner product of two contiguous rows (the matched filter's
-//             2N-wide MAC, gemv rows). The scalar tier reduces in the
-//             historical 4-lane order; avx2 uses 4 x 8-lane FMA
-//             accumulators combined pairwise.
-//
-//   sum       sum of a contiguous row (the interval averager's group
-//             accumulation). Scalar tier keeps the seed's 4-lane order.
-//
-//   fc_plane  one dense layer over a feature-major shot tile:
-//               out_plane[o*stride + s] =
-//                   act(bias[o] + sum_i weights[o*in_dim + i] *
-//                                       in_plane[i*stride + s])
-//             for every lane s in [0, padded_lanes(lanes)). `weights` is
-//             (out_dim x in_dim) row-major, `bias` may be null (treated as
-//             zero), `relu` applies max(x, 0). Requires
-//             padded_lanes(lanes) <= stride; pad lanes of in_plane must be
-//             finite (the packers zero-fill them). Accumulation over i is
-//             strictly ascending per (o, s), so a lane's value never
-//             depends on its position in the tile.
-//
-//   extract_tile
-//             the float front end over a shot tile: lane s reads the
-//             flattened [I | Q] trace traces[s] (2N floats) and gets its
-//             width() NORMed features at plane[c * stride + s]. Lanes
-//             [lanes, padded_lanes(lanes)) are written as +0.0f; lanes from
-//             padded_lanes(lanes) up to `stride` are neither read nor
-//             written. Requires 1 <= groups <= N, padded_lanes(lanes) <=
-//             stride, and a 2N-tap envelope when it is set. Any lane count
-//             works; tiles of max_tile_lanes are what it is tuned for.
-//             Per shot the result is BITWISE equal, within a tier, to that
-//             tier's grouped_mean_dot over each quadrature (MF partials
-//             summed as 0 + I + Q) followed by the NORM op per feature —
-//             i.e. to dsp::feature_pipeline::extract on the same tier. When
-//             every group is shorter than one vector (FNN-B's 5-sample
-//             groups), grouped_mean_dot runs each sample on its serial tail;
-//             the SIMD tiers then keep that operation sequence and only
-//             interleave shots: the samples run shot-per-lane — 16 shots per
-//             zmm, 8 per ymm, loaded through in-register transposes — so a
-//             scalar `t += p` or fmaf becomes one vector op for the block.
-//             Shapes with vector bodies, a lone live shot in a block, and
-//             the scalar tier run the tier's grouped_mean_dot shot by shot.
+// Each tier (scalar, avx2, avx512 — see the file comment) is one
+// kernel_table, and every tier meets the contract stated on the members.
 // ---------------------------------------------------------------------------
 
-/// Plain-float scalar tier — every host runs this; bit-compatible with the
-/// pre-kernel seed for dot/sum.
-namespace scalar {
+struct kernel_table {
+  /// Inner product of two contiguous rows (the matched filter's 2N-wide
+  /// MAC, gemv rows). The scalar tier reduces in the historical 4-lane
+  /// order; avx2 uses 4 x 8-lane FMA accumulators combined pairwise.
+  float (*dot)(const float* a, const float* b, std::size_t n) noexcept;
 
-float dot(const float* a, const float* b, std::size_t n) noexcept;
+  /// Sum of a contiguous row (the interval averager's group accumulation).
+  /// The scalar tier keeps the seed's 4-lane order.
+  float (*sum)(const float* values, std::size_t n) noexcept;
 
-float sum(const float* values, std::size_t n) noexcept;
+  /// Fused single-pass extraction kernel: interval group means plus an
+  /// optional weighted reduction over one quadrature segment. Groups follow
+  /// the interval averager's layout — group g covers samples
+  /// [g*n/groups, (g+1)*n/groups) — and out_means[g] receives that group's
+  /// mean. Returns Σ values[i]·weights[i] accumulated group by group (the
+  /// matched-filter partial for this quadrature), or 0 when `weights` is
+  /// null. One pass over `values` serves both features, so a trace is
+  /// streamed once instead of twice (averager pass + MF pass). Deterministic
+  /// per (n, groups) within a tier; like dot, the tiers differ in last-ULP
+  /// rounding.
+  float (*grouped_mean_dot)(const float* values, const float* weights,
+                            std::size_t n, std::size_t groups,
+                            float* out_means) noexcept;
 
-float grouped_mean_dot(const float* values, const float* weights,
-                       std::size_t n, std::size_t groups,
-                       float* out_means) noexcept;
+  /// One dense layer over a feature-major shot tile:
+  ///   out_plane[o*stride + s] =
+  ///       act(bias[o] + sum_i weights[o*in_dim + i] * in_plane[i*stride + s])
+  /// for every lane s in [0, padded_lanes(lanes)). `weights` is
+  /// (out_dim x in_dim) row-major, `bias` may be null (treated as zero),
+  /// `relu` applies max(x, 0). Requires padded_lanes(lanes) <= stride; pad
+  /// lanes of in_plane must be finite (the packers zero-fill them).
+  /// Accumulation over i is strictly ascending per (o, s), so a lane's value
+  /// never depends on its position in the tile.
+  void (*fc_plane)(const float* weights, const float* bias,
+                   std::size_t out_dim, std::size_t in_dim,
+                   const float* in_plane, std::size_t lanes,
+                   std::size_t stride, bool relu, float* out_plane) noexcept;
 
-void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
-              std::size_t in_dim, const float* in_plane, std::size_t lanes,
-              std::size_t stride, bool relu, float* out_plane) noexcept;
+  /// The float front end over a shot tile, the tile producer of the fused
+  /// float datapath: lane s reads the flattened [I | Q] trace traces[s]
+  /// (2N floats) and gets its width() NORMed features at
+  /// plane[c * stride + s]. Lanes [lanes, padded_lanes(lanes)) are written
+  /// as +0.0f; lanes from padded_lanes(lanes) up to `stride` are neither
+  /// read nor written. Requires 1 <= groups <= N, padded_lanes(lanes) <=
+  /// stride, and a 2N-tap envelope when it is set. Any lane count works;
+  /// tiles of max_tile_lanes are what it is tuned for.
+  ///
+  /// Per shot the result is BITWISE equal, within a tier, to that tier's
+  /// grouped_mean_dot over each quadrature (MF partials summed as
+  /// 0 + I + Q) followed by the NORM op per feature — i.e. to
+  /// dsp::feature_pipeline::extract on the same tier; grouped_mean_dot
+  /// stays the single-shot kernel and is this kernel's oracle. When every
+  /// group is shorter than one vector (FNN-B's 5-sample groups),
+  /// grouped_mean_dot runs each sample on its serial tail; the SIMD tiers
+  /// then keep that operation sequence and only interleave shots: the
+  /// samples run shot-per-lane — 16 shots per zmm, 8 per ymm, loaded
+  /// through in-register transposes — so a scalar `t += p` or fmaf becomes
+  /// one vector op for the block. Shapes with vector bodies, a lone live
+  /// shot in a block, and the scalar tier run the tier's grouped_mean_dot
+  /// shot by shot.
+  void (*extract_tile)(const float* const* traces, std::size_t lanes,
+                       std::size_t samples_per_quadrature,
+                       const extract_spec& spec, float* plane,
+                       std::size_t stride) noexcept;
+};
 
-void extract_tile(const float* const* traces, std::size_t lanes,
-                  std::size_t samples_per_quadrature, const extract_spec& spec,
-                  float* plane, std::size_t stride) noexcept;
+/// The table of `tier`, or nullptr when this build (non-x86, or
+/// KLINQ_DISABLE_SIMD) or the executing CPU cannot run it.
+/// kernels_for(simd_tier::scalar64), the scalar tier, is never null.
+const kernel_table* kernels_for(simd_tier tier) noexcept;
 
-}  // namespace scalar
-
-/// AVX2 FMA tier (8 x float lanes). Entry points exist on every build so the
-/// parity harness links unconditionally; on builds without the SIMD bodies
-/// (non-x86 or KLINQ_DISABLE_SIMD) they forward to scalar. Call them
-/// directly only when avx2_available() — the dispatched entry points below
-/// handle that automatically.
-namespace avx2 {
-
-float dot(const float* a, const float* b, std::size_t n) noexcept;
-
-float sum(const float* values, std::size_t n) noexcept;
-
-float grouped_mean_dot(const float* values, const float* weights,
-                       std::size_t n, std::size_t groups,
-                       float* out_means) noexcept;
-
-void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
-              std::size_t in_dim, const float* in_plane, std::size_t lanes,
-              std::size_t stride, bool relu, float* out_plane) noexcept;
-
-void extract_tile(const float* const* traces, std::size_t lanes,
-                  std::size_t samples_per_quadrature, const extract_spec& spec,
-                  float* plane, std::size_t stride) noexcept;
-
-}  // namespace avx2
-
-/// AVX-512 FMA tier (16 x float lanes). Same linkage contract as avx2::
-/// (entry points exist on every build, forwarding to scalar without the SIMD
-/// bodies); call them directly only when avx512_available().
-namespace avx512 {
-
-float dot(const float* a, const float* b, std::size_t n) noexcept;
-
-float sum(const float* values, std::size_t n) noexcept;
-
-float grouped_mean_dot(const float* values, const float* weights,
-                       std::size_t n, std::size_t groups,
-                       float* out_means) noexcept;
-
-void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
-              std::size_t in_dim, const float* in_plane, std::size_t lanes,
-              std::size_t stride, bool relu, float* out_plane) noexcept;
-
-void extract_tile(const float* const* traces, std::size_t lanes,
-                  std::size_t samples_per_quadrature, const extract_spec& spec,
-                  float* plane, std::size_t stride) noexcept;
-
-}  // namespace avx512
-
-/// True when the AVX2 tier was compiled in and the executing CPU supports it.
-bool avx2_available() noexcept;
-
-/// True when the AVX-512 tier was compiled in and the executing CPU supports
-/// it (F+BW+DQ).
-bool avx512_available() noexcept;
-
-// --- dispatched entry points (tier resolved once per process from
-// active_float_simd_tier(): KLINQ_SIMD / KLINQ_DETERMINISTIC aware) ---------
-
-float dot(const float* a, const float* b, std::size_t n) noexcept;
-
-float sum(const float* values, std::size_t n) noexcept;
-
-/// Fused single-pass extraction kernel: interval group means plus an
-/// optional weighted reduction over one quadrature segment. Groups follow
-/// the interval averager's layout — group g covers samples
-/// [g*n/groups, (g+1)*n/groups) — and out_means[g] receives that group's
-/// mean. Returns Σ values[i]·weights[i] accumulated group by group (the
-/// matched-filter partial for this quadrature), or 0 when `weights` is
-/// null. One pass over `values` serves both features, so a trace is
-/// streamed once instead of twice (averager pass + MF pass). Deterministic
-/// per (n, groups) within a tier; like dot, the tiers differ in last-ULP
-/// rounding.
-float grouped_mean_dot(const float* values, const float* weights,
-                       std::size_t n, std::size_t groups,
-                       float* out_means) noexcept;
-
-void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
-              std::size_t in_dim, const float* in_plane, std::size_t lanes,
-              std::size_t stride, bool relu, float* out_plane) noexcept;
-
-/// The float front end over a tile of `lanes` traces, straight into the
-/// feature-major plane (see the contract above): the tile producer of the
-/// fused float datapath. grouped_mean_dot stays the single-shot kernel and
-/// is the oracle each shot of the tile matches bitwise within a tier.
-void extract_tile(const float* const* traces, std::size_t lanes,
-                  std::size_t samples_per_quadrature, const extract_spec& spec,
-                  float* plane, std::size_t stride) noexcept;
+/// The table of active_simd_tier(), resolved once per process: the kernels
+/// the float datapath runs.
+const kernel_table& active_kernels() noexcept;
 
 // --- packing helpers (tier-independent data movement) -----------------------
 

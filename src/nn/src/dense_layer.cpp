@@ -60,8 +60,8 @@ void dense_layer::forward_single(std::span<const float> input,
   // One dispatched dot per neuron — the AVX2 tier cuts single-shot latency;
   // the scalar tier keeps the seed's gemv reduction order bit for bit.
   for (std::size_t o = 0; o < out_dim(); ++o) {
-    output[o] = kernels::dot(weights_.data() + o * in_dim(), input.data(),
-                             in_dim()) +
+    output[o] = kernels::active_kernels().dot(weights_.data() + o * in_dim(),
+                                              input.data(), in_dim()) +
                 bias_[o];
   }
   apply_activation(act_, output);

@@ -75,15 +75,11 @@ void zero_lanes(std::size_t width, std::size_t from, std::size_t to,
   }
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // scalar tier
 // ---------------------------------------------------------------------------
 
-namespace scalar {
-
-float dot(const float* a, const float* b, std::size_t n) noexcept {
+float dot_scalar(const float* a, const float* b, std::size_t n) noexcept {
   // The seed's 4-lane reduction (gemm.cpp dot_lanes), kept verbatim so the
   // pinned scalar tier reproduces historical numerics bit for bit.
   float acc0 = 0.0f;
@@ -102,7 +98,7 @@ float dot(const float* a, const float* b, std::size_t n) noexcept {
   return acc;
 }
 
-float sum(const float* values, std::size_t n) noexcept {
+float sum_scalar(const float* values, std::size_t n) noexcept {
   // Same 4-lane order as the seed's interval_averager accumulation.
   float acc0 = 0.0f;
   float acc1 = 0.0f;
@@ -120,15 +116,13 @@ float sum(const float* values, std::size_t n) noexcept {
   return acc;
 }
 
-namespace {
-
-/// grouped_mean_dot's body with the means written `out_stride` apart, so
+/// grouped_mean_dot with the means written `out_stride` apart, so
 /// extract_tile runs the identical operation sequence straight into a plane
-/// lane.
-float grouped_mean_dot_strided(const float* values, const float* weights,
-                               std::size_t n, std::size_t groups,
-                               float* out_means,
-                               std::size_t out_stride) noexcept {
+/// lane. The SIMD tiers' grouped_mean_dot_* take the same arguments.
+float grouped_mean_dot_scalar(const float* values, const float* weights,
+                              std::size_t n, std::size_t groups,
+                              float* out_means,
+                              std::size_t out_stride) noexcept {
   // One pass serves both features. The group sums reduce per group (their
   // boundaries demand it), but the matched-filter accumulators persist
   // across groups — lanes for the vectorizable body, one scalar chain for
@@ -182,17 +176,10 @@ float grouped_mean_dot_strided(const float* values, const float* weights,
   return (dot0 + dot1) + (dot2 + dot3) + dot_tail;
 }
 
-}  // namespace
-
-float grouped_mean_dot(const float* values, const float* weights,
-                       std::size_t n, std::size_t groups,
-                       float* out_means) noexcept {
-  return grouped_mean_dot_strided(values, weights, n, groups, out_means, 1);
-}
-
-void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
-              std::size_t in_dim, const float* in_plane, std::size_t lanes,
-              std::size_t stride, bool relu, float* out_plane) noexcept {
+void fc_plane_scalar(const float* weights, const float* bias,
+                     std::size_t out_dim, std::size_t in_dim,
+                     const float* in_plane, std::size_t lanes,
+                     std::size_t stride, bool relu, float* out_plane) noexcept {
   const std::size_t padded = padded_lanes(lanes);
   for (std::size_t o = 0; o < out_dim; ++o) {
     const float* w = weights + o * in_dim;
@@ -218,26 +205,23 @@ void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
   }
 }
 
-void extract_tile(const float* const* traces, std::size_t lanes,
-                  std::size_t samples_per_quadrature, const extract_spec& spec,
-                  float* plane, std::size_t stride) noexcept {
+void extract_tile_scalar(const float* const* traces, std::size_t lanes,
+                         std::size_t samples_per_quadrature,
+                         const extract_spec& spec, float* plane,
+                         std::size_t stride) noexcept {
   // Shot by shot through grouped_mean_dot's own body.
   for (std::size_t s = 0; s < lanes; ++s) {
-    extract_shot<grouped_mean_dot_strided>(traces[s], samples_per_quadrature,
-                                           spec, plane + s, stride);
+    extract_shot<grouped_mean_dot_scalar>(traces[s], samples_per_quadrature,
+                                          spec, plane + s, stride);
   }
   zero_lanes(spec.width(), lanes, padded_lanes(lanes), plane, stride);
 }
-
-}  // namespace scalar
 
 // ---------------------------------------------------------------------------
 // avx2 tier
 // ---------------------------------------------------------------------------
 
 #if KLINQ_HAVE_X86_SIMD
-
-namespace {
 
 // Per-function target("avx2,fma") keeps the rest of the library buildable
 // without -mavx2 while the runtime dispatcher guards execution via cpuid.
@@ -1080,217 +1064,61 @@ __attribute__((target("avx512f,avx512bw,avx512dq,fma"))) void fc_plane_avx512(
 #pragma GCC diagnostic pop
 #endif
 
-}  // namespace
+#endif  // KLINQ_HAVE_X86_SIMD
 
-namespace avx2 {
+// ---------------------------------------------------------------------------
+// Kernel tables
+// ---------------------------------------------------------------------------
 
-float dot(const float* a, const float* b, std::size_t n) noexcept {
-  return dot_avx2(a, b, n);
+/// The table's grouped_mean_dot over a tier's strided body: means written
+/// contiguously.
+template <auto GroupedMeanDot>
+float grouped_mean_dot_entry(const float* values, const float* weights,
+                             std::size_t n, std::size_t groups,
+                             float* out_means) noexcept {
+  return GroupedMeanDot(values, weights, n, groups, out_means, 1);
 }
 
-float sum(const float* values, std::size_t n) noexcept {
-  return sum_avx2(values, n);
-}
+constexpr kernel_table kScalar{
+    .dot = dot_scalar,
+    .sum = sum_scalar,
+    .grouped_mean_dot = grouped_mean_dot_entry<grouped_mean_dot_scalar>,
+    .fc_plane = fc_plane_scalar,
+    .extract_tile = extract_tile_scalar};
 
-float grouped_mean_dot(const float* values, const float* weights,
-                       std::size_t n, std::size_t groups,
-                       float* out_means) noexcept {
-  return grouped_mean_dot_avx2(values, weights, n, groups, out_means, 1);
-}
+#if KLINQ_HAVE_X86_SIMD
 
-void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
-              std::size_t in_dim, const float* in_plane, std::size_t lanes,
-              std::size_t stride, bool relu, float* out_plane) noexcept {
-  fc_plane_avx2(weights, bias, out_dim, in_dim, in_plane, lanes, stride, relu,
-                out_plane);
-}
+constexpr kernel_table kAvx2{
+    .dot = dot_avx2,
+    .sum = sum_avx2,
+    .grouped_mean_dot = grouped_mean_dot_entry<grouped_mean_dot_avx2>,
+    .fc_plane = fc_plane_avx2,
+    .extract_tile = extract_tile_avx2};
 
-void extract_tile(const float* const* traces, std::size_t lanes,
-                  std::size_t samples_per_quadrature, const extract_spec& spec,
-                  float* plane, std::size_t stride) noexcept {
-  extract_tile_avx2(traces, lanes, samples_per_quadrature, spec, plane,
-                    stride);
-}
-
-}  // namespace avx2
-
-namespace avx512 {
-
-float dot(const float* a, const float* b, std::size_t n) noexcept {
-  return dot_avx512(a, b, n);
-}
-
-float sum(const float* values, std::size_t n) noexcept {
-  return sum_avx512(values, n);
-}
-
-float grouped_mean_dot(const float* values, const float* weights,
-                       std::size_t n, std::size_t groups,
-                       float* out_means) noexcept {
-  return grouped_mean_dot_avx512(values, weights, n, groups, out_means, 1);
-}
-
-void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
-              std::size_t in_dim, const float* in_plane, std::size_t lanes,
-              std::size_t stride, bool relu, float* out_plane) noexcept {
-  fc_plane_avx512(weights, bias, out_dim, in_dim, in_plane, lanes, stride,
-                  relu, out_plane);
-}
-
-void extract_tile(const float* const* traces, std::size_t lanes,
-                  std::size_t samples_per_quadrature, const extract_spec& spec,
-                  float* plane, std::size_t stride) noexcept {
-  extract_tile_avx512(traces, lanes, samples_per_quadrature, spec, plane,
-                      stride);
-}
-
-}  // namespace avx512
-
-#else  // !KLINQ_HAVE_X86_SIMD
-
-// Keep the avx2:: / avx512:: entry points linkable on builds without the
-// SIMD bodies; avx2_available() / avx512_available() report false, so the
-// parity harness skips rather than comparing scalar against itself.
-namespace avx2 {
-
-float dot(const float* a, const float* b, std::size_t n) noexcept {
-  return scalar::dot(a, b, n);
-}
-
-float sum(const float* values, std::size_t n) noexcept {
-  return scalar::sum(values, n);
-}
-
-float grouped_mean_dot(const float* values, const float* weights,
-                       std::size_t n, std::size_t groups,
-                       float* out_means) noexcept {
-  return scalar::grouped_mean_dot(values, weights, n, groups, out_means);
-}
-
-void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
-              std::size_t in_dim, const float* in_plane, std::size_t lanes,
-              std::size_t stride, bool relu, float* out_plane) noexcept {
-  scalar::fc_plane(weights, bias, out_dim, in_dim, in_plane, lanes, stride,
-                   relu, out_plane);
-}
-
-void extract_tile(const float* const* traces, std::size_t lanes,
-                  std::size_t samples_per_quadrature, const extract_spec& spec,
-                  float* plane, std::size_t stride) noexcept {
-  scalar::extract_tile(traces, lanes, samples_per_quadrature, spec, plane,
-                       stride);
-}
-
-}  // namespace avx2
-
-namespace avx512 {
-
-float dot(const float* a, const float* b, std::size_t n) noexcept {
-  return scalar::dot(a, b, n);
-}
-
-float sum(const float* values, std::size_t n) noexcept {
-  return scalar::sum(values, n);
-}
-
-float grouped_mean_dot(const float* values, const float* weights,
-                       std::size_t n, std::size_t groups,
-                       float* out_means) noexcept {
-  return scalar::grouped_mean_dot(values, weights, n, groups, out_means);
-}
-
-void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
-              std::size_t in_dim, const float* in_plane, std::size_t lanes,
-              std::size_t stride, bool relu, float* out_plane) noexcept {
-  scalar::fc_plane(weights, bias, out_dim, in_dim, in_plane, lanes, stride,
-                   relu, out_plane);
-}
-
-void extract_tile(const float* const* traces, std::size_t lanes,
-                  std::size_t samples_per_quadrature, const extract_spec& spec,
-                  float* plane, std::size_t stride) noexcept {
-  scalar::extract_tile(traces, lanes, samples_per_quadrature, spec, plane,
-                       stride);
-}
-
-}  // namespace avx512
+constexpr kernel_table kAvx512{
+    .dot = dot_avx512,
+    .sum = sum_avx512,
+    .grouped_mean_dot = grouped_mean_dot_entry<grouped_mean_dot_avx512>,
+    .fc_plane = fc_plane_avx512,
+    .extract_tile = extract_tile_avx512};
 
 #endif  // KLINQ_HAVE_X86_SIMD
 
-bool avx2_available() noexcept {
-  return KLINQ_HAVE_X86_SIMD != 0 && cpu_supports_avx2();
-}
-
-bool avx512_available() noexcept {
-  return KLINQ_HAVE_X86_SIMD != 0 && cpu_supports_avx512();
-}
-
-// ---------------------------------------------------------------------------
-// Dispatched entry points
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct kernel_table {
-  float (*dot)(const float*, const float*, std::size_t) noexcept;
-  float (*sum)(const float*, std::size_t) noexcept;
-  float (*grouped_mean_dot)(const float*, const float*, std::size_t,
-                            std::size_t, float*) noexcept;
-  void (*fc_plane)(const float*, const float*, std::size_t, std::size_t,
-                   const float*, std::size_t, std::size_t, bool,
-                   float*) noexcept;
-  void (*extract_tile)(const float* const*, std::size_t, std::size_t,
-                       const extract_spec&, float*, std::size_t) noexcept;
-};
-
-const kernel_table& active_table() noexcept {
-  static const kernel_table table = [] {
-    switch (active_float_simd_tier()) {
-      case simd_tier::avx512:
-        return kernel_table{avx512::dot, avx512::sum,
-                            avx512::grouped_mean_dot, avx512::fc_plane,
-                            avx512::extract_tile};
-      case simd_tier::avx2:
-        return kernel_table{avx2::dot, avx2::sum, avx2::grouped_mean_dot,
-                            avx2::fc_plane, avx2::extract_tile};
-      case simd_tier::scalar64:
-        break;
-    }
-    return kernel_table{scalar::dot, scalar::sum, scalar::grouped_mean_dot,
-                        scalar::fc_plane, scalar::extract_tile};
-  }();
-  return table;
-}
-
 }  // namespace
 
-float dot(const float* a, const float* b, std::size_t n) noexcept {
-  return active_table().dot(a, b, n);
+const kernel_table* kernels_for(simd_tier tier) noexcept {
+#if KLINQ_HAVE_X86_SIMD
+  if (tier == simd_tier::avx512) {
+    return cpu_supports_avx512() ? &kAvx512 : nullptr;
+  }
+  if (tier == simd_tier::avx2) return cpu_supports_avx2() ? &kAvx2 : nullptr;
+#endif
+  return tier == simd_tier::scalar64 ? &kScalar : nullptr;
 }
 
-float sum(const float* values, std::size_t n) noexcept {
-  return active_table().sum(values, n);
-}
-
-float grouped_mean_dot(const float* values, const float* weights,
-                       std::size_t n, std::size_t groups,
-                       float* out_means) noexcept {
-  return active_table().grouped_mean_dot(values, weights, n, groups,
-                                         out_means);
-}
-
-void fc_plane(const float* weights, const float* bias, std::size_t out_dim,
-              std::size_t in_dim, const float* in_plane, std::size_t lanes,
-              std::size_t stride, bool relu, float* out_plane) noexcept {
-  active_table().fc_plane(weights, bias, out_dim, in_dim, in_plane, lanes,
-                          stride, relu, out_plane);
-}
-
-void extract_tile(const float* const* traces, std::size_t lanes,
-                  std::size_t samples_per_quadrature, const extract_spec& spec,
-                  float* plane, std::size_t stride) noexcept {
-  active_table().extract_tile(traces, lanes, samples_per_quadrature, spec,
-                              plane, stride);
+const kernel_table& active_kernels() noexcept {
+  static const kernel_table& table = *kernels_for(active_simd_tier());
+  return table;
 }
 
 // ---------------------------------------------------------------------------
@@ -1368,7 +1196,7 @@ void gemm_nt_driver(const la::matrix_f& a, const la::matrix_f& b,
       const float* a_row = a.data() + i * k;
       float* c_row = c.data() + i * n;
       for (std::size_t j = 0; j < n; ++j) {
-        float value = dot(a_row, b.data() + j * k, k);
+        float value = active_kernels().dot(a_row, b.data() + j * k, k);
         if (bias_ptr != nullptr) value += bias_ptr[j];
         if (relu && value < 0.0f) value = 0.0f;
         if (accumulate) {
@@ -1391,8 +1219,9 @@ void gemm_nt_driver(const la::matrix_f& a, const la::matrix_f& b,
       const std::size_t rows = std::min(max_tile_lanes, m - row0);
       pack_rows(a.data() + row0 * k, rows, k, k, scratch.panel.data(),
                 max_tile_lanes);
-      fc_plane(b.data(), bias_ptr, n, k, scratch.panel.data(), rows,
-               max_tile_lanes, relu, scratch.out_plane.data());
+      active_kernels().fc_plane(b.data(), bias_ptr, n, k, scratch.panel.data(),
+                                rows, max_tile_lanes, relu,
+                                scratch.out_plane.data());
       unpack_plane(scratch.out_plane.data(), n, max_tile_lanes, rows,
                    c.data() + row0 * n, n, accumulate);
     }

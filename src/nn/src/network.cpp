@@ -89,9 +89,9 @@ void network::predict_logits_plane(const float* in_plane, std::size_t lanes,
   float* next = scratch.plane_a.data();
   for (const auto& layer : layers_) {
     const activation act = layer.act();
-    kernels::fc_plane(layer.weights().data(), layer.bias().data(),
-                      layer.out_dim(), layer.in_dim(), current, lanes, stride,
-                      act == activation::relu, next);
+    kernels::active_kernels().fc_plane(
+        layer.weights().data(), layer.bias().data(), layer.out_dim(),
+        layer.in_dim(), current, lanes, stride, act == activation::relu, next);
     if (act != activation::relu && act != activation::identity) {
       // Rare non-fused activations (sigmoid) run row-wise over the padded
       // lanes so pads stay finite for the next layer.

@@ -11,7 +11,7 @@
 //   * student_model::logit() is a one-lane run of that same datapath, so a
 //     float single shot is bitwise equal to the batched paths too;
 //   * only nn::network::predict_logit keeps dot order: the batched network
-//     logits match it to rounding tolerance (KLINQ_DETERMINISTIC pins the
+//     logits match it to rounding tolerance (KLINQ_SIMD=scalar pins the
 //     scalar tier but does not remove this order difference).
 #include <cmath>
 #include <gtest/gtest.h>
@@ -33,6 +33,7 @@
 #include "klinq/nn/kernels.hpp"
 #include "klinq/nn/network.hpp"
 #include "klinq/qsim/dataset_builder.hpp"
+#include "kernel_tables.hpp"
 
 namespace {
 
@@ -248,16 +249,17 @@ std::uint32_t float_bits(float v) {
   return bits;
 }
 
-/// feature_pipeline::extract with `GroupedMeanDot` standing in for the
-/// dispatched kernel: the per-shot oracle of one tier's extract_tile.
-template <auto GroupedMeanDot>
-void extract_on_tier(const dsp::feature_pipeline& pipeline, const float* trace,
+/// feature_pipeline::extract with the grouped_mean_dot of `kernels`
+/// standing in for the active one: the per-shot oracle of that tier's
+/// extract_tile.
+void extract_on_tier(const nn::kernels::kernel_table& kernels,
+                     const dsp::feature_pipeline& pipeline, const float* trace,
                      std::size_t n, std::span<float> out) {
   const std::size_t groups = pipeline.config().groups_per_quadrature;
   const bool use_mf = pipeline.config().use_matched_filter;
   float mf = 0.0f;
   for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
-    mf += GroupedMeanDot(
+    mf += kernels.grouped_mean_dot(
         trace + quadrature * n,
         use_mf ? pipeline.filter().envelope().data() + quadrature * n
                : nullptr,
@@ -267,11 +269,8 @@ void extract_on_tier(const dsp::feature_pipeline& pipeline, const float* trace,
   pipeline.normalizer().apply(out);
 }
 
-using extract_tile_fn = void (*)(const float* const*, std::size_t,
-                                 std::size_t, const nn::kernels::extract_spec&,
-                                 float*, std::size_t) noexcept;
-using extract_oracle_fn = void (*)(const dsp::feature_pipeline&, const float*,
-                                   std::size_t, std::span<float>);
+using extract_oracle_fn = std::function<void(
+    const dsp::feature_pipeline&, const float*, std::size_t, std::span<float>)>;
 
 /// Runs `tile` over `lanes` traces and checks the plane bit for bit: shot
 /// lanes against `oracle`, pad lanes +0, lanes past the padding untouched.
@@ -280,7 +279,8 @@ void expect_tile_matches(const dsp::feature_pipeline& pipeline,
                          std::size_t n, std::size_t lanes,
                          const std::function<void(const float* const*,
                                                   float*, std::size_t)>& tile,
-                         extract_oracle_fn oracle, const std::string& where) {
+                         const extract_oracle_fn& oracle,
+                         const std::string& where) {
   constexpr std::size_t kStride = nn::kernels::max_tile_lanes + 8;
   constexpr float kUntouched = -7.25f;
   const std::size_t width = pipeline.output_width();
@@ -317,21 +317,6 @@ void expect_tile_matches(const dsp::feature_pipeline& pipeline,
 // exactly sized allocation (so an over-read of a trace end is a sanitizer
 // error, not a neighbour's samples).
 TEST(TileExtractParity, EveryTierMatchesPerShotExtractBitwise) {
-  struct tier {
-    const char* name;
-    bool available;
-    extract_tile_fn tile;
-    extract_oracle_fn oracle;
-  };
-  const tier tiers[] = {
-      {"scalar", true, nn::kernels::scalar::extract_tile,
-       extract_on_tier<nn::kernels::scalar::grouped_mean_dot>},
-      {"avx2", nn::kernels::avx2_available(), nn::kernels::avx2::extract_tile,
-       extract_on_tier<nn::kernels::avx2::grouped_mean_dot>},
-      {"avx512", nn::kernels::avx512_available(),
-       nn::kernels::avx512::extract_tile,
-       extract_on_tier<nn::kernels::avx512::grouped_mean_dot>},
-  };
   struct shape {
     std::size_t n;
     std::size_t groups;
@@ -369,16 +354,21 @@ TEST(TileExtractParity, EveryTierMatchesPerShotExtractBitwise) {
           (config.use_matched_filter ? " mf" : " no-mf") +
           (config.normalization == dsp::norm_mode::zscore ? " zscore"
                                                           : " pow2");
-      for (const tier& t : tiers) {
-        if (!t.available) continue;
+      for (const auto& t : test::host_tables(nn::kernels::kernels_for)) {
+        const nn::kernels::kernel_table& kernels = *t.kernels;
         for (const std::size_t lanes : lane_counts) {
           expect_tile_matches(
               pipeline, traces, sh.n, lanes,
               [&](const float* const* pointers, float* plane,
                   std::size_t stride) {
-                t.tile(pointers, lanes, sh.n, spec, plane, stride);
+                kernels.extract_tile(pointers, lanes, sh.n, spec, plane,
+                                     stride);
               },
-              t.oracle, where + " " + t.name);
+              [&](const dsp::feature_pipeline& p, const float* trace,
+                  std::size_t n, std::span<float> out) {
+                extract_on_tier(kernels, p, trace, n, out);
+              },
+              where + " " + t.name);
         }
       }
       // The deployed path: batch_extractor on the dispatched tier against

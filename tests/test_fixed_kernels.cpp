@@ -1,14 +1,14 @@
 // Adversarial equality harness for the vectorized fixed-point kernels.
 //
 // The contract under test: for every int64-fast-path format (Q8.8, Q12.12,
-// Q16.16) the scalar64 and AVX2 kernel tiers are bit-identical to the
-// int128 reference arithmetic in fixed.hpp — fixed::operator* per product,
-// fixed_accumulator for the adder tree, fixed::from_double for
-// quantization. Sweeps deliberately hit the hard corners: the saturation
-// rails, half-ULP tie products of both signs, negative exact multiples
-// (where a naive floor-shift overshoots by one LSB), and randomized fuzzing
-// per format. The AVX2/AVX-512 comparisons run only where the executing CPU
-// has the tier; the scalar comparisons run everywhere.
+// Q16.16) every kernel tier is bit-identical to the int128 reference
+// arithmetic in fixed.hpp — fixed::operator* per product, fixed_accumulator
+// for the adder tree, fixed::from_double for quantization. Sweeps
+// deliberately hit the hard corners: the saturation rails, half-ULP tie
+// products of both signs, negative exact multiples (where a naive
+// floor-shift overshoots by one LSB), and randomized fuzzing per format.
+// Every comparison runs over each kernel table kernels_for hands out:
+// scalar64 everywhere, AVX2/AVX-512 where the build and CPU have them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,6 +37,7 @@
 #include "klinq/kd/distiller.hpp"
 #include "klinq/nn/init.hpp"
 #include "klinq/nn/network.hpp"
+#include "kernel_tables.hpp"
 
 namespace {
 
@@ -47,6 +48,7 @@ using fx::fixed_accumulator;
 using fx::q12_12;
 using fx::q16_16;
 using fx::q8_8;
+using test::host_tables;
 
 // ---------------------------------------------------------------------------
 // int128 references (the exact arithmetic the kernels must reproduce)
@@ -135,6 +137,14 @@ TYPED_TEST(FixedKernelTest, PostScalerMatchesInt128OnAdversarialProducts) {
 }
 
 // ---------------------------------------------------------------------------
+// The kernel tables: one per tier the host runs, the active one dispatched
+// ---------------------------------------------------------------------------
+
+TEST(FixedKernels, KernelTables) {
+  test::expect_kernel_tables(kernels::kernels_for, kernels::active_kernels());
+}
+
+// ---------------------------------------------------------------------------
 // mac_row: every tier vs the wide-accumulator reference
 // ---------------------------------------------------------------------------
 
@@ -153,26 +163,12 @@ TYPED_TEST(FixedKernelTest, MacRowTiersMatchInt128Reference) {
       const std::int64_t reference = ref_mac_row<Fixed>(weights, inputs, bias);
       const bool in_range =
           kernels::products_in_range(weights.data(), n, spec);
-      ASSERT_EQ(kernels::scalar64::mac_row(weights.data(), inputs.data(), n,
-                                           bias, in_range, spec),
-                reference)
-          << "scalar64 n=" << n << " trial=" << trial;
-      if (kernels::avx2_available()) {
-        ASSERT_EQ(kernels::avx2::mac_row(weights.data(), inputs.data(), n,
-                                         bias, in_range, spec),
+      for (const auto& [tier, k] : host_tables(kernels::kernels_for)) {
+        ASSERT_EQ(k->mac_row(weights.data(), inputs.data(), n, bias, in_range,
+                             spec),
                   reference)
-            << "avx2 n=" << n << " trial=" << trial;
+            << tier << " n=" << n << " trial=" << trial;
       }
-      if (kernels::avx512_available()) {
-        ASSERT_EQ(kernels::avx512::mac_row(weights.data(), inputs.data(), n,
-                                           bias, in_range, spec),
-                  reference)
-            << "avx512 n=" << n << " trial=" << trial;
-      }
-      ASSERT_EQ(kernels::mac_row(weights.data(), inputs.data(), n, bias,
-                                 in_range, spec),
-                reference)
-          << "dispatched n=" << n << " trial=" << trial;
     }
   }
 }
@@ -192,24 +188,18 @@ TYPED_TEST(FixedKernelTest, MacRowSaturatesAccumulatorAtExtractionOnly) {
   // A weight of exactly 1.0 fails the row proof: the clamped path runs.
   ASSERT_FALSE(kernels::products_in_range(weights.data(), 64, spec));
   const std::int64_t balanced = ref_mac_row<Fixed>(weights, inputs, 0);
-  EXPECT_EQ(kernels::scalar64::mac_row(weights.data(), inputs.data(), 64, 0,
-                                       false, spec),
+  const kernels::kernel_table& scalar64 =
+      *kernels::kernels_for(simd_tier::scalar64);
+  EXPECT_EQ(scalar64.mac_row(weights.data(), inputs.data(), 64, 0, false,
+                             spec),
             balanced);
   inputs.assign(64, max32);
   const std::int64_t pinned = ref_mac_row<Fixed>(weights, inputs, 0);
   EXPECT_EQ(pinned, Fixed::raw_max);
-  EXPECT_EQ(kernels::scalar64::mac_row(weights.data(), inputs.data(), 64, 0,
-                                       false, spec),
-            pinned);
-  if (kernels::avx2_available()) {
-    EXPECT_EQ(kernels::avx2::mac_row(weights.data(), inputs.data(), 64, 0,
-                                     false, spec),
-              pinned);
-  }
-  if (kernels::avx512_available()) {
-    EXPECT_EQ(kernels::avx512::mac_row(weights.data(), inputs.data(), 64, 0,
-                                       false, spec),
-              pinned);
+  for (const auto& [tier, k] : host_tables(kernels::kernels_for)) {
+    EXPECT_EQ(k->mac_row(weights.data(), inputs.data(), 64, 0, false, spec),
+              pinned)
+        << tier;
   }
 }
 
@@ -258,9 +248,8 @@ std::vector<std::uint8_t> row_flags(const std::vector<std::int32_t>& weights,
   return flags;
 }
 
-/// Runs every tier the host has (and the dispatched entry) over one layer
-/// and expects each to match the int128 reference, lanes past the tile
-/// untouched.
+/// Runs every tier the host has over one layer and expects each to match
+/// the int128 reference, lanes past the tile untouched.
 template <class Fixed>
 void expect_mac_tile_tiers(const std::vector<std::int32_t>& weights,
                            const std::vector<std::int32_t>& bias,
@@ -269,33 +258,16 @@ void expect_mac_tile_tiers(const std::vector<std::int32_t>& weights,
                            const std::vector<std::int32_t>& plane,
                            std::size_t tile, bool relu,
                            const std::string& context) {
-  using tile_fn = void (*)(const std::int32_t*, const std::int32_t*,
-                           const std::uint8_t*, std::size_t, std::size_t,
-                           const std::int32_t*, std::size_t, std::size_t,
-                           bool, std::int32_t*,
-                           const kernels::mac_spec&) noexcept;
-  struct tier {
-    const char* name;
-    tile_fn run;
-    bool available;
-  };
-  const tier tiers[] = {
-      {"scalar64", kernels::scalar64::mac_tile, true},
-      {"avx2", kernels::avx2::mac_tile, kernels::avx2_available()},
-      {"avx512", kernels::avx512::mac_tile, kernels::avx512_available()},
-      {"dispatched", kernels::mac_tile, true},
-  };
   constexpr std::size_t stride = kernels::max_tile_lanes;
   const std::size_t out_dim = bias.size();
   const auto expected =
       ref_mac_tile<Fixed>(weights, bias, in_dim, plane, tile, stride, relu);
-  for (const tier& t : tiers) {
-    if (!t.available) continue;
+  for (const auto& [tier, k] : host_tables(kernels::kernels_for)) {
     std::vector<std::int32_t> actual(out_dim * stride, kUntouchedLane);
-    t.run(weights.data(), bias.data(), rows_in_range.data(), out_dim, in_dim,
-          plane.data(), tile, stride, relu, actual.data(),
-          kernels::spec_of<Fixed>());
-    EXPECT_EQ(actual, expected) << t.name << " " << context;
+    k->mac_tile(weights.data(), bias.data(), rows_in_range.data(), out_dim,
+                in_dim, plane.data(), tile, stride, relu, actual.data(),
+                kernels::spec_of<Fixed>());
+    EXPECT_EQ(actual, expected) << tier << " " << context;
   }
 }
 
@@ -440,9 +412,10 @@ TYPED_TEST(FixedKernelTest, MacTileMixedBlockKeepsTheClamp) {
       // The case is sharp: the same block run without the clamp differs.
       const std::vector<std::uint8_t> wrong(out_dim, 1);
       std::vector<std::int32_t> unclamped(out_dim * stride, kUntouchedLane);
-      kernels::scalar64::mac_tile(weights.data(), bias.data(), wrong.data(),
-                                  out_dim, in_dim, plane.data(), tile, stride,
-                                  false, unclamped.data(), spec);
+      kernels::kernels_for(simd_tier::scalar64)
+          ->mac_tile(weights.data(), bias.data(), wrong.data(), out_dim,
+                     in_dim, plane.data(), tile, stride, false,
+                     unclamped.data(), spec);
       EXPECT_NE(unclamped, ref_mac_tile<Fixed>(weights, bias, in_dim, plane,
                                                tile, stride, false))
           << context;
@@ -466,26 +439,12 @@ TYPED_TEST(FixedKernelTest, MacRowInRangeMatchesInt128Reference) {
       for (const bool in_range : {true, false}) {
         const std::string context = "n=" + std::to_string(n) +
                                     " in_range=" + std::to_string(in_range);
-        ASSERT_EQ(kernels::scalar64::mac_row(weights.data(), inputs.data(), n,
-                                             bias, in_range, spec),
-                  reference)
-            << "scalar64 " << context;
-        if (kernels::avx2_available()) {
-          ASSERT_EQ(kernels::avx2::mac_row(weights.data(), inputs.data(), n,
-                                           bias, in_range, spec),
+        for (const auto& [tier, k] : host_tables(kernels::kernels_for)) {
+          ASSERT_EQ(k->mac_row(weights.data(), inputs.data(), n, bias,
+                               in_range, spec),
                     reference)
-              << "avx2 " << context;
+              << tier << " " << context;
         }
-        if (kernels::avx512_available()) {
-          ASSERT_EQ(kernels::avx512::mac_row(weights.data(), inputs.data(), n,
-                                             bias, in_range, spec),
-                    reference)
-              << "avx512 " << context;
-        }
-        ASSERT_EQ(kernels::mac_row(weights.data(), inputs.data(), n, bias,
-                                   in_range, spec),
-                  reference)
-            << "dispatched " << context;
       }
     }
   }
@@ -630,26 +589,11 @@ TYPED_TEST(FixedKernelTest, QuantizeBlockMatchesFromDouble) {
     expected[i] =
         static_cast<std::int32_t>(Fixed::from_double(values[i]).raw());
   }
-  std::vector<std::int32_t> scalar(values.size(), -1);
-  kernels::scalar64::quantize_block(values.data(), values.size(),
-                                    scalar.data(), spec);
-  EXPECT_EQ(scalar, expected);
-  if (kernels::avx2_available()) {
-    std::vector<std::int32_t> simd(values.size(), -1);
-    kernels::avx2::quantize_block(values.data(), values.size(), simd.data(),
-                                  spec);
-    EXPECT_EQ(simd, expected);
+  for (const auto& [tier, k] : host_tables(kernels::kernels_for)) {
+    std::vector<std::int32_t> actual(values.size(), -1);
+    k->quantize_block(values.data(), values.size(), actual.data(), spec);
+    EXPECT_EQ(actual, expected) << tier;
   }
-  if (kernels::avx512_available()) {
-    std::vector<std::int32_t> simd(values.size(), -1);
-    kernels::avx512::quantize_block(values.data(), values.size(), simd.data(),
-                                    spec);
-    EXPECT_EQ(simd, expected);
-  }
-  std::vector<std::int32_t> dispatched(values.size(), -1);
-  kernels::quantize_block(values.data(), values.size(), dispatched.data(),
-                          spec);
-  EXPECT_EQ(dispatched, expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -793,20 +737,6 @@ std::vector<Fixed> reference_features(const hw::fixed_frontend<Fixed>& frontend,
 
 TYPED_TEST(FixedKernelTest, FrontendTileTiersMatchFixedReference) {
   using Fixed = TypeParam;
-  using tile_fn = void (*)(const float* const*, std::size_t,
-                           const kernels::frontend_spec&, std::int32_t*,
-                           std::size_t, const kernels::mac_spec&) noexcept;
-  struct tier {
-    const char* name;
-    tile_fn run;
-    bool available;
-  };
-  const tier tiers[] = {
-      {"scalar64", kernels::scalar64::frontend_tile, true},
-      {"avx2", kernels::avx2::frontend_tile, kernels::avx2_available()},
-      {"avx512", kernels::avx512::frontend_tile, kernels::avx512_available()},
-      {"dispatched", kernels::frontend_tile, true},
-  };
   constexpr std::size_t stride = kernels::max_tile_lanes;
   constexpr std::int32_t kUntouched = 0x5eed;
   xoshiro256 rng(2027);
@@ -824,18 +754,17 @@ TYPED_TEST(FixedKernelTest, FrontendTileTiersMatchFixedReference) {
     }
     hw::frontend_layout spare;
     const kernels::frontend_spec spec = frontend.kernel_spec(shape.n, spare);
-    for (const tier& t : tiers) {
-      if (!t.available) continue;
+    for (const auto& [tier, k] : host_tables(kernels::kernels_for)) {
       for (std::size_t lanes = 1; lanes <= stride; ++lanes) {
         std::vector<std::int32_t> plane(width * stride, kUntouched);
-        t.run(lanes_in.data(), lanes, spec, plane.data(), stride,
-              kernels::spec_of<Fixed>());
+        k->frontend_tile(lanes_in.data(), lanes, spec, plane.data(), stride,
+                         kernels::spec_of<Fixed>());
         for (std::size_t c = 0; c < width; ++c) {
           for (std::size_t s = 0; s < stride; ++s) {
             const std::int64_t want =
                 s < lanes ? expected[s][c].raw() : kUntouched;
             ASSERT_EQ(plane[c * stride + s], want)
-                << t.name << " N=" << shape.n << " G=" << shape.groups
+                << tier << " N=" << shape.n << " G=" << shape.groups
                 << " mf=" << shape.matched_filter << " lanes=" << lanes
                 << " feature=" << c << " shot=" << s
                 << " shift=" << spec.shift[c];
@@ -863,20 +792,6 @@ TYPED_TEST(FixedKernelTest, FrontendTileTiersMatchFixedReference) {
 // path stays valid for in-range taps too.
 TYPED_TEST(FixedKernelTest, FrontendTileInRangeTapsMatchFixedReference) {
   using Fixed = TypeParam;
-  using tile_fn = void (*)(const float* const*, std::size_t,
-                           const kernels::frontend_spec&, std::int32_t*,
-                           std::size_t, const kernels::mac_spec&) noexcept;
-  struct tier {
-    const char* name;
-    tile_fn run;
-    bool available;
-  };
-  const tier tiers[] = {
-      {"scalar64", kernels::scalar64::frontend_tile, true},
-      {"avx2", kernels::avx2::frontend_tile, kernels::avx2_available()},
-      {"avx512", kernels::avx512::frontend_tile, kernels::avx512_available()},
-      {"dispatched", kernels::frontend_tile, true},
-  };
   const auto spec = kernels::spec_of<Fixed>();
   constexpr std::size_t stride = kernels::max_tile_lanes;
   const frontend_case shape{97, 10, true};
@@ -915,17 +830,17 @@ TYPED_TEST(FixedKernelTest, FrontendTileInRangeTapsMatchFixedReference) {
     kernels::frontend_spec clamped = chosen;
     clamped.taps_in_range = false;
     for (const kernels::frontend_spec& fspec : {chosen, clamped}) {
-      for (const tier& t : tiers) {
-        if (!t.available) continue;
+      for (const auto& [tier, k] : host_tables(kernels::kernels_for)) {
         for (const std::size_t lanes : {1, 3, 4, 5, 8, 9, 17, 64}) {
           std::vector<std::int32_t> plane(width * stride, kUntouchedLane);
-          t.run(lanes_in.data(), lanes, fspec, plane.data(), stride, spec);
+          k->frontend_tile(lanes_in.data(), lanes, fspec, plane.data(),
+                           stride, spec);
           for (std::size_t c = 0; c < width; ++c) {
             for (std::size_t s = 0; s < stride; ++s) {
               const std::int64_t want =
                   s < lanes ? expected[s][c].raw() : kUntouchedLane;
               ASSERT_EQ(plane[c * stride + s], want)
-                  << t.name << " taps_in_range=" << fspec.taps_in_range
+                  << tier << " taps_in_range=" << fspec.taps_in_range
                   << " lanes=" << lanes << " feature=" << c << " shot=" << s;
             }
           }

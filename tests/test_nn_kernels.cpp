@@ -20,11 +20,13 @@
 #include "klinq/common/thread_pool.hpp"
 #include "klinq/linalg/gemm.hpp"
 #include "klinq/nn/kernels.hpp"
+#include "kernel_tables.hpp"
 
 namespace {
 
 using namespace klinq;
 namespace kernels = nn::kernels;
+using test::host_tables;
 
 std::vector<float> random_values(xoshiro256& rng, std::size_t n,
                                  double scale = 1.0) {
@@ -63,19 +65,10 @@ TEST(NnKernels, DotTiersMatchDoubleReference) {
         abs_sum += std::fabs(product);
       }
       const float tol = reduction_tolerance(abs_sum);
-      EXPECT_NEAR(kernels::scalar::dot(a.data(), b.data(), n), reference, tol)
-          << "scalar n=" << n;
-      if (kernels::avx2_available()) {
-        EXPECT_NEAR(kernels::avx2::dot(a.data(), b.data(), n), reference, tol)
-            << "avx2 n=" << n;
+      for (const auto& [tier, k] : host_tables(kernels::kernels_for)) {
+        EXPECT_NEAR(k->dot(a.data(), b.data(), n), reference, tol)
+            << tier << " n=" << n;
       }
-      if (kernels::avx512_available()) {
-        EXPECT_NEAR(kernels::avx512::dot(a.data(), b.data(), n), reference,
-                    tol)
-            << "avx512 n=" << n;
-      }
-      EXPECT_NEAR(kernels::dot(a.data(), b.data(), n), reference, tol)
-          << "dispatched n=" << n;
     }
   }
 }
@@ -93,14 +86,10 @@ TEST(NnKernels, SumTiersMatchDoubleReference) {
       abs_sum += std::fabs(v);
     }
     const float tol = reduction_tolerance(abs_sum);
-    EXPECT_NEAR(kernels::scalar::sum(values.data(), n), reference, tol);
-    if (kernels::avx2_available()) {
-      EXPECT_NEAR(kernels::avx2::sum(values.data(), n), reference, tol);
+    for (const auto& [tier, k] : host_tables(kernels::kernels_for)) {
+      EXPECT_NEAR(k->sum(values.data(), n), reference, tol)
+          << tier << " n=" << n;
     }
-    if (kernels::avx512_available()) {
-      EXPECT_NEAR(kernels::avx512::sum(values.data(), n), reference, tol);
-    }
-    EXPECT_NEAR(kernels::sum(values.data(), n), reference, tol);
   }
 }
 
@@ -153,48 +142,15 @@ TEST(NnKernels, GroupedMeanDotTiersMatchDoubleReference) {
           ASSERT_EQ(dot_value, 0.0f) << tier;
         }
       };
-      check("scalar", [](auto... args) {
-        return kernels::scalar::grouped_mean_dot(args...);
-      });
-      if (kernels::avx2_available()) {
-        check("avx2", [](auto... args) {
-          return kernels::avx2::grouped_mean_dot(args...);
-        });
+      for (const auto& [tier, k] : host_tables(kernels::kernels_for)) {
+        check(tier, k->grouped_mean_dot);
       }
-      if (kernels::avx512_available()) {
-        check("avx512", [](auto... args) {
-          return kernels::avx512::grouped_mean_dot(args...);
-        });
-      }
-      check("dispatched", [](auto... args) {
-        return kernels::grouped_mean_dot(args...);
-      });
     }
   }
 }
 
-TEST(NnKernels, DispatchedEntryPointsMatchActiveTierBitwise) {
-  xoshiro256 rng(99);
-  const auto a = random_values(rng, 777);
-  const auto b = random_values(rng, 777);
-  float expected = 0.0f;
-  float expected_sum = 0.0f;
-  switch (active_float_simd_tier()) {
-    case simd_tier::avx512:
-      expected = kernels::avx512::dot(a.data(), b.data(), 777);
-      expected_sum = kernels::avx512::sum(a.data(), 777);
-      break;
-    case simd_tier::avx2:
-      expected = kernels::avx2::dot(a.data(), b.data(), 777);
-      expected_sum = kernels::avx2::sum(a.data(), 777);
-      break;
-    case simd_tier::scalar64:
-      expected = kernels::scalar::dot(a.data(), b.data(), 777);
-      expected_sum = kernels::scalar::sum(a.data(), 777);
-      break;
-  }
-  EXPECT_EQ(kernels::dot(a.data(), b.data(), 777), expected);
-  EXPECT_EQ(kernels::sum(a.data(), 777), expected_sum);
+TEST(NnKernels, KernelTables) {
+  test::expect_kernel_tables(kernels::kernels_for, kernels::active_kernels());
 }
 
 // ---------------------------------------------------------------------------
@@ -256,22 +212,9 @@ TEST(NnKernels, FcPlaneTiersMatchDoubleReference) {
           }
         }
       };
-      run_and_check("scalar", [](auto... args) {
-        kernels::scalar::fc_plane(args...);
-      });
-      if (kernels::avx2_available()) {
-        run_and_check("avx2", [](auto... args) {
-          kernels::avx2::fc_plane(args...);
-        });
+      for (const auto& [tier, k] : host_tables(kernels::kernels_for)) {
+        run_and_check(tier, k->fc_plane);
       }
-      if (kernels::avx512_available()) {
-        run_and_check("avx512", [](auto... args) {
-          kernels::avx512::fc_plane(args...);
-        });
-      }
-      run_and_check("dispatched", [](auto... args) {
-        kernels::fc_plane(args...);
-      });
     }
   }
 }
@@ -318,18 +261,8 @@ TEST(NnKernels, FcPlaneLaneInvariantWithinTier) {
       }
     }
   };
-  check_tier("scalar", [](auto... args) {
-    kernels::scalar::fc_plane(args...);
-  });
-  if (kernels::avx2_available()) {
-    check_tier("avx2", [](auto... args) {
-      kernels::avx2::fc_plane(args...);
-    });
-  }
-  if (kernels::avx512_available()) {
-    check_tier("avx512", [](auto... args) {
-      kernels::avx512::fc_plane(args...);
-    });
+  for (const auto& [tier, k] : host_tables(kernels::kernels_for)) {
+    check_tier(tier, k->fc_plane);
   }
 }
 
@@ -338,7 +271,10 @@ TEST(NnKernels, FcPlaneLaneInvariantWithinTier) {
 // tiers agree bitwise — the serve layer's packed/unpacked float equality
 // rests on this even when dispatch upgrades across tiers.
 TEST(NnKernels, FcPlaneAvx512MatchesAvx2Bitwise) {
-  if (!kernels::avx512_available() || !kernels::avx2_available()) {
+  const kernels::kernel_table* avx2 = kernels::kernels_for(simd_tier::avx2);
+  const kernels::kernel_table* avx512 =
+      kernels::kernels_for(simd_tier::avx512);
+  if (avx2 == nullptr || avx512 == nullptr) {
     GTEST_SKIP() << "host lacks an AVX-512 or AVX2 tier";
   }
   xoshiro256 rng(83);
@@ -355,12 +291,10 @@ TEST(NnKernels, FcPlaneAvx512MatchesAvx2Bitwise) {
                          plane.data(), stride);
       std::vector<float> wide(c.out_dim * stride, 0.0f);
       std::vector<float> wider(c.out_dim * stride, 0.0f);
-      kernels::avx2::fc_plane(weights.data(), bias.data(), c.out_dim, c.in_dim,
-                              plane.data(), c.lanes, stride, relu,
-                              wide.data());
-      kernels::avx512::fc_plane(weights.data(), bias.data(), c.out_dim,
-                                c.in_dim, plane.data(), c.lanes, stride, relu,
-                                wider.data());
+      avx2->fc_plane(weights.data(), bias.data(), c.out_dim, c.in_dim,
+                     plane.data(), c.lanes, stride, relu, wide.data());
+      avx512->fc_plane(weights.data(), bias.data(), c.out_dim, c.in_dim,
+                       plane.data(), c.lanes, stride, relu, wider.data());
       for (std::size_t o = 0; o < c.out_dim; ++o) {
         for (std::size_t s = 0; s < c.lanes; ++s) {
           ASSERT_EQ(wider[o * stride + s], wide[o * stride + s])
